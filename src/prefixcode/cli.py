@@ -24,7 +24,7 @@ from prefixcode.antiuniform import (
     check_finite,
     check_infinite_tail,
 )
-from prefixcode.convergence import csv_rows, estimate_optimal_lengths, truncation_sequence
+from prefixcode.convergence import csv_rows, estimate_optimal_lengths
 from prefixcode.delta import DeltaKind, delta_occasion, l1_via_delta
 from prefixcode.distributions import FiniteDistribution, counterexample
 from prefixcode.errors import PrefixCodeError, TailNotComputableError
@@ -48,7 +48,18 @@ PROVENANCE = {
 
 
 def _rat(x: Fraction) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        # more digits than the interpreter's int-to-str limit (4300 by
+        # default), which valid inputs can reach; lift it for this render
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _resolve_finite(source: str, truncate_n: int | None) -> tuple[FiniteDistribution, dict]:
@@ -197,8 +208,7 @@ def _cmd_converge(args) -> tuple[dict, dict]:
     }
     results = report.to_dict()
     if args.csv:
-        seq = truncation_sequence(spec, 2, args.nmax)
-        rows = csv_rows(seq, args.depth)
+        rows = csv_rows(report.length_prefixes, args.depth)
         Path(args.csv).write_text(
             "\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8"
         )
@@ -326,7 +336,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         inputs, results = args.handler(args)
-    except (PrefixCodeError, OSError, ValueError) as exc:
+    except (PrefixCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

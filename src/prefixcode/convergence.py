@@ -13,13 +13,25 @@ canonical codeword assignment) and labels each entry:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Iterator, Sequence
 
+from prefixcode import kernel
 from prefixcode.antiuniform import alpha_criterion
-from prefixcode.errors import OutOfRangeError, SymbolOutOfRangeError
-from prefixcode.huffman import LengthVector, huffman_lengths
+from prefixcode.errors import (
+    NonPositiveEntryError,
+    NotNormalizedError,
+    NotSortedError,
+    OutOfRangeError,
+    SymbolOutOfRangeError,
+)
+# huffman_lengths stays importable from this module: perfbench's tracer
+# tests rebind it under this name
+from prefixcode.huffman import LengthVector, huffman_lengths  # noqa: F401
 from prefixcode.intervals import classify_l1_infinite
-from prefixcode.sources import SourceSpec, truncate
+from prefixcode.numutil import common_numerators
+from prefixcode.sources import SourceSpec
 
 DEFAULT_WINDOW = 32
 DEFAULT_NMAX = 512
@@ -29,13 +41,40 @@ CERTIFIED = "CERTIFIED"
 EMPIRICAL = "EMPIRICAL"
 
 
-def truncation_sequence(spec: SourceSpec, n_min: int, n_max: int) -> list[LengthVector]:
-    """Huffman lengths of every truncation from n_min through n_max."""
+def _sweep(spec: SourceSpec, n_min: int, n_max: int) -> Iterator[list[int]]:
+    """Huffman lengths of the truncations n = n_min..n_max, in order.
+
+    Merging is scale-invariant, so truncation n codes the integer prefix
+    ``nums[:n]`` of the n_max prefix over one shared denominator instead of
+    renormalizing by S_n; the lengths equal those of ``truncate(spec, n)``.
+    The checks a truncated distribution makes still hold: positivity and
+    sortedness of the n_max prefix (every shorter prefix inherits them), and
+    an exact partial sum S_n for every n.
+    """
     if not 2 <= n_min <= n_max <= _NMAX_LIMIT:
         raise OutOfRangeError(
             f"need 2 <= n_min <= n_max <= {_NMAX_LIMIT}, got [{n_min}, {n_max}]"
         )
-    return [huffman_lengths(truncate(spec, n)) for n in range(n_min, n_max + 1)]
+    probs = spec.prefix_probs(n_max)
+    for p in probs:
+        if p <= 0:
+            raise NonPositiveEntryError(f"entry {p} is not strictly positive")
+    for a, b in zip(probs, probs[1:]):
+        if a < b:
+            raise NotSortedError(f"{a} < {b}: entries must be non-increasing")
+    nums, den = common_numerators(probs)
+    total = sum(nums[: n_min - 1])
+    for n in range(n_min, n_max + 1):
+        total += nums[n - 1]
+        sn = spec.head_sum(n)
+        if total * sn.denominator != sn.numerator * den:
+            raise NotNormalizedError(Fraction(total, den) / sn)
+        yield kernel.run_merges(nums[:n])[0]
+
+
+def truncation_sequence(spec: SourceSpec, n_min: int, n_max: int) -> list[LengthVector]:
+    """Huffman lengths of every truncation from n_min through n_max."""
+    return [LengthVector(tuple(lengths)) for lengths in _sweep(spec, n_min, n_max)]
 
 
 @dataclass(frozen=True)
@@ -51,13 +90,13 @@ class Stabilization:
 
 
 def detect_stabilization(
-    seq: list[LengthVector], symbol: int, window: int, n_min: int = 2
+    seq: Sequence[Sequence[int]], symbol: int, window: int, n_min: int = 2
 ) -> Stabilization:
     """Check whether a symbol's length is constant over the trailing window.
 
-    ``seq`` holds the length vectors for consecutive sizes starting at
-    ``n_min``.  The window covers the last ``window`` entries, all of which
-    must contain the symbol.
+    ``seq`` holds the length vectors (or their leading entries) for
+    consecutive sizes starting at ``n_min``.  The window covers the last
+    ``window`` entries, all of which must contain the symbol.
     """
     if not 1 <= window <= len(seq):
         raise OutOfRangeError(f"window must be in [1, {len(seq)}], got {window}")
@@ -107,6 +146,9 @@ class ConvergenceReport:
     n_max: int
     window: int
     per_symbol: tuple[SymbolReport, ...]
+    # lengths of symbols 1..depth for n = n_min..n_max, for csv_rows; not
+    # part of the JSON report
+    length_prefixes: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -118,7 +160,7 @@ class ConvergenceReport:
         }
 
 
-def csv_rows(seq: list[LengthVector], depth: int, n_min: int = 2) -> list[list[str]]:
+def csv_rows(seq: Sequence[Sequence[int]], depth: int, n_min: int = 2) -> list[list[str]]:
     """Plot-ready rows (n, l_1..l_depth); blank where symbol > n."""
     header = ["n"] + [f"l_{i}" for i in range(1, depth + 1)]
     rows = [header]
@@ -149,7 +191,8 @@ def estimate_optimal_lengths(
         raise OutOfRangeError(
             f"depth {depth} exceeds n_max - window = {n_max - window}"
         )
-    seq = truncation_sequence(spec, 2, n_max)
+    # only symbols 1..depth are reported, so keep only their lengths
+    seq = tuple(tuple(lengths[:depth]) for lengths in _sweep(spec, 2, n_max))
 
     classification = classify_l1_infinite(spec)
     skewed = alpha_criterion(spec.alphas_cover())
@@ -204,4 +247,5 @@ def estimate_optimal_lengths(
         n_max=n_max,
         window=window,
         per_symbol=tuple(reports),
+        length_prefixes=seq,
     )

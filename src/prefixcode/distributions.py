@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator
 
 from prefixcode.errors import (
@@ -20,7 +19,7 @@ from prefixcode.errors import (
     NotSortedError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import exact_fraction
+from prefixcode.numutil import common_numerators, exact_fraction
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,7 @@ class FiniteDistribution:
 
     def common_numerators(self) -> tuple[list[int], int]:
         """Integer numerators over the least common denominator."""
-        den = lcm(*(p.denominator for p in self.probs))
-        return [p.numerator * (den // p.denominator) for p in self.probs], den
+        return common_numerators(self.probs)
 
 
 def validate(probs: Iterable[Fraction]) -> FiniteDistribution:

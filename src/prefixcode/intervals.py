@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from prefixcode.errors import OutOfRangeError
+from prefixcode.numutil import floor_neg_log2
 from prefixcode.sources import SourceSpec
 
 _HALF = Fraction(1, 2)
@@ -72,8 +73,11 @@ def classify_l1(p1: Fraction) -> L1Classification:
         raise OutOfRangeError(f"p1 must be in (0, 1), got {p1}")
     if p1 >= _HALF:
         return L1Classification(k=1, half_rule=True)
-    k = 1
-    while L1Interval(k).lower >= p1:
+    # k is the least index with lower(k) < p1, i.e. 2**(k+1) + 1 > 2/p1.
+    # With t = floor(log2(1/p1)) >= 1, 2**t <= 1/p1 < 2**(t+1) makes that
+    # t or t + 1.
+    k = floor_neg_log2(p1)
+    if L1Interval(k).lower >= p1:
         k += 1
     if p1 < L1Interval(k).upper:
         return L1Classification(k=k)

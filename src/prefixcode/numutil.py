@@ -7,6 +7,8 @@ a float.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from prefixcode.errors import OutOfRangeError
 
@@ -20,6 +22,12 @@ def exact_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     return Fraction(value)
+
+
+def common_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the values over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def floor_log2(n: int) -> int:

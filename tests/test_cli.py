@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
+from prefixcode import classify_l1, kernel
 from prefixcode.cli import run
 
 
@@ -80,6 +82,13 @@ class TestClassify:
         assert run(["classify-l1", "7/5"]) == 2
         assert run(["classify-l1", "zebra"]) == 2
 
+    def test_huge_rational_renders(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        report, _ = run_json(capsys, ["classify-l1", "1e-20000"])
+        assert report["inputs"]["p1"] == "1/1" + "0" * 20000
+        assert report["results"]["k"] == classify_l1(F(1, 10**20000)).k
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestDelta:
     def test_found(self, capsys, dist_file):
@@ -138,6 +147,22 @@ class TestConverge:
         assert len(rows) == 48  # header + n = 2..48
         assert rows[1].startswith("2,")
 
+    def test_csv_reuses_the_report_sweep(self, capsys, tmp_path, monkeypatch):
+        sizes = []
+        run_merges = kernel.run_merges
+
+        def counting(nums, *args, **kwargs):
+            sizes.append(len(nums))
+            return run_merges(nums, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "run_merges", counting)
+        run_json(
+            capsys,
+            ["converge", "--spec", "geom:1/4", "--depth", "2", "--nmax", "48",
+             "--window", "8", "--csv", str(tmp_path / "series.csv")],
+        )
+        assert sizes == list(range(2, 49))  # one kernel run per n, nmax - 1 in all
+
     def test_finite_source_rejected(self, capsys, dist_file):
         assert run(["converge", "--spec", f"file:{dist_file}", "--depth", "1"]) == 2
 
@@ -174,6 +199,13 @@ class TestEnvelope:
 
     def test_unknown_subcommand_exits_2(self):
         assert run(["frobnicate"]) == 2
+
+    def test_internal_value_error_exits_1(self, monkeypatch, dist_file):
+        def broken(*args, **kwargs):
+            raise ValueError("kernel invariant broken")
+
+        monkeypatch.setattr(kernel, "run_merges", broken)
+        assert run(["analyze", f"file:{dist_file}"]) == 1
 
 
 def test_console_script_installed(dist_file):

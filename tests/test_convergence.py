@@ -11,10 +11,34 @@ from prefixcode import (
     anti_uniform_lengths,
     detect_stabilization,
     estimate_optimal_lengths,
+    huffman_lengths,
+    truncate,
     truncation_sequence,
 )
 from prefixcode.convergence import CERTIFIED, EMPIRICAL, csv_rows
-from prefixcode.errors import OutOfRangeError, SymbolOutOfRangeError
+from prefixcode.errors import (
+    NotNormalizedError,
+    NotSortedError,
+    OutOfRangeError,
+    SymbolOutOfRangeError,
+)
+
+
+class _WrongHeadSum(Geometric):
+    """Claims S_n = 1 from n = 6 on, disagreeing with its own prefix."""
+
+    def head_sum(self, n):
+        return super().head_sum(n) if n < 6 else F(1)
+
+
+class _Unsorted(Geometric):
+    """Swaps p_3 and p_4, keeping every partial sum from n = 4 on."""
+
+    def prefix_probs(self, n):
+        probs = super().prefix_probs(n)
+        if n >= 4:
+            probs[2], probs[3] = probs[3], probs[2]
+        return probs
 
 
 class TestTruncationSequence:
@@ -34,6 +58,38 @@ class TestTruncationSequence:
             n = 2 + off
             if n >= 5:
                 assert vec[0] == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Geometric(F(1, 4)),
+            AlphaSequence((F(3, 7), F(2, 5), F(9, 20))),
+            ExplicitHead((F(1, 3), F(1, 4)), F(1, 3)),
+            ExplicitHead((F(1, 3),), F(1, 2)),
+        ],
+        ids=lambda spec: spec.literal(),
+    )
+    def test_matches_renormalized_truncations(self, spec):
+        expected = [huffman_lengths(truncate(spec, n)) for n in range(2, 129)]
+        assert truncation_sequence(spec, 2, 128) == expected
+        assert truncation_sequence(spec, 7, 40) == expected[5:39]
+
+    def test_head_sum_mismatch_is_not_normalized(self):
+        spec = _WrongHeadSum(F(1, 4))
+        assert len(truncation_sequence(spec, 2, 5)) == 4
+        with pytest.raises(NotNormalizedError):
+            truncate(spec, 6)
+        with pytest.raises(NotNormalizedError):
+            truncation_sequence(spec, 2, 6)
+        with pytest.raises(NotNormalizedError):
+            estimate_optimal_lengths(spec, 1, n_max=40, window=8)
+
+    def test_unsorted_prefix_is_rejected(self):
+        spec = _Unsorted(F(1, 4))
+        with pytest.raises(NotSortedError):
+            truncate(spec, 4)
+        with pytest.raises(NotSortedError):
+            truncation_sequence(spec, 2, 12)
 
     def test_range_validation(self):
         with pytest.raises(OutOfRangeError):
@@ -138,6 +194,15 @@ def test_classification_matches_stabilized_length_battery():
         report = estimate_optimal_lengths(spec, 1, n_max=256, window=32)
         assert report.per_symbol[0].stabilized_length == cls.k
         assert report.per_symbol[0].status == CERTIFIED
+
+
+def test_report_keeps_leading_lengths_only():
+    spec = Geometric(F(1, 4))
+    report = estimate_optimal_lengths(spec, 3, n_max=64, window=8)
+    full = truncation_sequence(spec, 2, 64)
+    assert report.length_prefixes == tuple(tuple(vec)[:3] for vec in full)
+    assert csv_rows(report.length_prefixes, 3) == csv_rows(full, 3)
+    assert "length_prefixes" not in report.to_dict()
 
 
 def test_csv_rows_shape():

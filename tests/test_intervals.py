@@ -7,6 +7,8 @@ import pytest
 from prefixcode import (
     AlphaSequence,
     Geometric,
+    L1Classification,
+    L1Interval,
     classify_l1,
     classify_l1_infinite,
     coverage_sum,
@@ -64,6 +66,36 @@ class TestClassify:
             for _ in range(50):
                 d = interval_instance(rng, k, n_max=64)
                 assert huffman_lengths(d)[0] == k
+
+    def test_matches_linear_scan(self, rng):
+        def scan(p1):
+            # the original search: step k up from 1 until lower(k) < p1
+            if p1 >= F(1, 2):
+                return L1Classification(k=1, half_rule=True)
+            k = 1
+            while L1Interval(k).lower >= p1:
+                k += 1
+            if p1 < L1Interval(k).upper:
+                return L1Classification(k=k)
+            return L1Classification(k=None, gap=(k - 1, k))
+
+        values = set()
+        for k in range(1, 80):
+            iv = L1Interval(k)
+            nudge = F(1, 2 ** (2 * k + 8))
+            for end in (iv.lower, iv.upper):
+                values.update((end - nudge, end, end + nudge))
+            values.add((iv.lower + iv.upper) / 2)
+            gap_low = L1Interval(k + 1).upper
+            values.update((gap_low, (gap_low + iv.lower) / 2))
+            values.update((F(1, 2**k), F(1, 3 * 2**k), F(1, 2**k - 1)))
+        for _ in range(2000):
+            scale = 2 ** rng.randint(1, 300)
+            values.add(F(rng.randint(1, scale), scale * rng.randint(1, 64)))
+        values = [p for p in values if 0 < p < 1]
+        assert len(values) > 2000
+        for p1 in values:
+            assert classify_l1(p1) == scan(p1), p1
 
     def test_gap_families_break_determinism(self):
         # p1 values flanking the k=2 interval produce lengths 1 and 3, not 2
