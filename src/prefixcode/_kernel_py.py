@@ -84,3 +84,30 @@ def state_after(nums, steps):
                 lo = mid + 1
         vals.insert(lo, s)
     return vals
+
+
+def merge_until(nums, bound):
+    """Merge while the next merge sum is below `bound`.
+
+    Returns ``(steps, vals)``: the number of merges done and the weight list
+    they leave, whose last two weights sum to at least `bound`.  With
+    ``bound = nums[0]`` that is the delta occasion: ``steps`` counts the
+    merge sums below the top weight, without running the rest.
+    """
+    vals = list(nums)
+    steps = 0
+    while len(vals) > 1:
+        s = vals[-1] + vals[-2]
+        if s >= bound:
+            break
+        del vals[-2:]
+        lo, hi = 0, len(vals)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if vals[mid] <= s:
+                hi = mid
+            else:
+                lo = mid + 1
+        vals.insert(lo, s)
+        steps += 1
+    return steps, vals

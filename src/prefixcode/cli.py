@@ -25,19 +25,21 @@ from prefixcode.antiuniform import (
     check_infinite_tail,
 )
 from prefixcode.convergence import csv_rows, estimate_optimal_lengths
-from prefixcode.delta import DeltaKind, delta_occasion, l1_via_delta
+from prefixcode.delta import DeltaKind, delta_occasion
 from prefixcode.distributions import FiniteDistribution, counterexample
 from prefixcode.errors import PrefixCodeError, TailNotComputableError
 from prefixcode.fileio import parse_rational, parse_source, read_distribution_file
 from prefixcode.huffman import (
+    LengthVector,
     MergeTrace,
     canonical_codebook,
     expected_length,
     huffman,
+    huffman_lengths,
     kraft_sum,
 )
 from prefixcode.intervals import L1Interval, classify_l1, coverage_sum
-from prefixcode.numutil import decimal_ceil, decimal_floor, decimal_str
+from prefixcode.numutil import decimal_ceil, decimal_floor, decimal_str, rat_str
 from prefixcode.oracle import count_kraft_tight, optimal_lengths
 from prefixcode.sources import SourceSpec, truncate
 
@@ -45,21 +47,6 @@ PROVENANCE = {
     "tool": f"prefixcode {__version__}",
     "ruleset": "standardized-merge/insert-before-equals",
 }
-
-
-def _rat(x: Fraction) -> str:
-    x = Fraction(x)
-    try:
-        return str(x)
-    except ValueError:
-        # more digits than the interpreter's int-to-str limit (4300 by
-        # default), which valid inputs can reach; lift it for this render
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(x)
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 
 def _resolve_finite(source: str, truncate_n: int | None) -> tuple[FiniteDistribution, dict]:
@@ -79,7 +66,17 @@ def _resolve_finite(source: str, truncate_n: int | None) -> tuple[FiniteDistribu
 
 
 def _write_trace(trace: MergeTrace, path: str) -> None:
-    Path(path).write_text("\n".join(trace.json_lines()) + "\n", encoding="utf-8")
+    # one line at a time: the whole trace is O(n**2) characters
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(line + "\n" for line in trace.iter_json_lines())
+
+
+def _code(dist: FiniteDistribution, traced: bool) -> tuple[LengthVector, MergeTrace | None]:
+    """Code lengths, from the one kernel run that also yields the trace
+    when one is asked for."""
+    if traced:
+        return huffman(dist)
+    return huffman_lengths(dist), None
 
 
 def _delta_payload(dist: FiniteDistribution) -> dict:
@@ -90,8 +87,8 @@ def _delta_payload(dist: FiniteDistribution) -> dict:
         payload["note"] = "p1 >= 1/2 forces a one-bit top codeword"
     else:
         payload["delta"] = result.delta
-        payload["state"] = [_rat(p) for p in result.state.probs]
-        payload["l1_floor_log2"] = l1_via_delta(dist)
+        payload["state"] = [rat_str(p) for p in result.state.probs]
+        payload["l1_floor_log2"] = result.l1
     return payload
 
 
@@ -102,7 +99,7 @@ def _classification_payload(p1: Fraction) -> dict:
         return {
             "k": cls.k,
             "half_rule": cls.half_rule,
-            "interval": {"lower": _rat(iv.lower), "upper": _rat(iv.upper)},
+            "interval": {"lower": rat_str(iv.lower), "upper": rat_str(iv.upper)},
         }
     lo, hi = cls.gap
     return {
@@ -112,16 +109,15 @@ def _classification_payload(p1: Fraction) -> dict:
     }
 
 
-def _analysis_payload(dist: FiniteDistribution) -> dict:
-    lengths, _ = huffman(dist)
+def _analysis_payload(dist: FiniteDistribution, lengths: LengthVector) -> dict:
     verdict = check_finite(dist)
     payload = {
         "n": dist.n,
-        "probs": [_rat(p) for p in dist.probs],
+        "probs": [rat_str(p) for p in dist.probs],
         "lengths": list(lengths),
         "codewords": list(canonical_codebook(lengths)),
-        "expected_length": _rat(expected_length(dist, lengths)),
-        "kraft_sum": _rat(kraft_sum(lengths)),
+        "expected_length": rat_str(expected_length(dist, lengths)),
+        "kraft_sum": rat_str(kraft_sum(lengths)),
         "delta": _delta_payload(dist),
         "l1": {
             "from_tree": lengths[0],
@@ -137,9 +133,9 @@ def _analysis_payload(dist: FiniteDistribution) -> dict:
 
 def _cmd_analyze(args) -> tuple[dict, dict]:
     dist, inputs = _resolve_finite(args.source, args.truncate)
-    results = _analysis_payload(dist)
-    if args.trace:
-        _, trace = huffman(dist)
+    lengths, trace = _code(dist, bool(args.trace))
+    results = _analysis_payload(dist, lengths)
+    if trace is not None:
         _write_trace(trace, args.trace)
         results["trace_file"] = args.trace
     return inputs, results
@@ -147,7 +143,7 @@ def _cmd_analyze(args) -> tuple[dict, dict]:
 
 def _cmd_classify_l1(args) -> tuple[dict, dict]:
     p1 = parse_rational(args.p1)
-    return {"p1": _rat(p1)}, _classification_payload(p1)
+    return {"p1": rat_str(p1)}, _classification_payload(p1)
 
 
 def _cmd_delta(args) -> tuple[dict, dict]:
@@ -172,7 +168,7 @@ def _cmd_anti_uniform(args) -> tuple[dict, dict]:
     if not verdict.holds:
         tail, p = verdict.witness
         results["first_violation"] = verdict.first_violation
-        results["witness"] = {"tail_sum": _rat(tail), "p_i": _rat(p)}
+        results["witness"] = {"tail_sum": rat_str(tail), "p_i": rat_str(p)}
     return inputs, results
 
 
@@ -187,7 +183,7 @@ def _cmd_oracle(args) -> tuple[dict, dict]:
     result = optimal_lengths(dist)
     return inputs, {
         "n": dist.n,
-        "optimum": _rat(result.optimum),
+        "optimum": rat_str(result.optimum),
         "optimum_decimal": decimal_str(result.optimum, 6),
         "vectors": [list(v) for v in result.vectors],
     }
@@ -219,11 +215,11 @@ def _cmd_converge(args) -> tuple[dict, dict]:
 def _cmd_coverage_sum(args) -> tuple[dict, dict]:
     bounds = coverage_sum(args.terms)
     return {"terms": args.terms}, {
-        "partial": _rat(bounds.partial),
+        "partial": rat_str(bounds.partial),
         "partial_decimal": decimal_str(bounds.partial, 6),
-        "total_lower": _rat(bounds.lower),
+        "total_lower": rat_str(bounds.lower),
         "total_lower_decimal_floor": decimal_floor(bounds.lower, 6),
-        "total_upper": _rat(bounds.upper),
+        "total_upper": rat_str(bounds.upper),
         "total_upper_decimal_ceil": decimal_ceil(bounds.upper, 6),
     }
 
@@ -231,14 +227,15 @@ def _cmd_coverage_sum(args) -> tuple[dict, dict]:
 def _cmd_counterexample(args) -> tuple[dict, dict]:
     epsilon = parse_rational(args.epsilon)
     dist = counterexample(args.family, epsilon)
-    inputs = {"family": args.family, "epsilon": _rat(epsilon)}
-    results: dict = {"probs": [_rat(p) for p in dist.probs]}
-    if args.analyze:
-        results["analysis"] = _analysis_payload(dist)
-    if args.trace:
-        _, trace = huffman(dist)
-        _write_trace(trace, args.trace)
-        results["trace_file"] = args.trace
+    inputs = {"family": args.family, "epsilon": rat_str(epsilon)}
+    results: dict = {"probs": [rat_str(p) for p in dist.probs]}
+    if args.analyze or args.trace:
+        lengths, trace = _code(dist, bool(args.trace))
+        if args.analyze:
+            results["analysis"] = _analysis_payload(dist, lengths)
+        if trace is not None:
+            _write_trace(trace, args.trace)
+            results["trace_file"] = args.trace
     return inputs, results
 
 

@@ -19,7 +19,7 @@ from prefixcode import kernel
 from prefixcode.distributions import FiniteDistribution
 from prefixcode.errors import OutOfRangeError, TrivialCaseError
 from prefixcode.huffman import MergeState
-from prefixcode.numutil import floor_log2, floor_neg_log2
+from prefixcode.numutil import floor_log2, floor_neg_log2, rat_str
 
 _HALF = Fraction(1, 2)
 
@@ -40,38 +40,35 @@ class DeltaResult:
     def trivial(self) -> bool:
         return self.kind is DeltaKind.TRIVIAL
 
+    @property
+    def l1(self) -> int:
+        """Top codeword length floor(log2(n - delta)); the state at the
+        delta occasion has n - delta entries."""
+        if self.trivial:
+            raise TrivialCaseError("p1 >= 1/2: the top codeword length is 1")
+        return floor_log2(len(self.state))
+
 
 def delta_occasion(dist: FiniteDistribution) -> DeltaResult:
-    """Locate the delta occasion by replaying the standardized merges."""
+    """Locate the delta occasion by running the standardized merges up to it."""
     if dist.p1 >= _HALF:
         return DeltaResult(DeltaKind.TRIVIAL, None, None)
     nums, den = dist.common_numerators()
-    if nums[-1] + nums[-2] >= nums[0]:
-        return DeltaResult(DeltaKind.ZERO, 0, MergeState(0, dist.probs))
-    _, _, sums, _, _ = kernel.run_merges(nums)
-    delta = 0
-    for s in sums:
-        if s >= nums[0]:
-            break
-        delta += 1
-    vals = kernel.state_after(nums, delta)
+    delta, vals = kernel.merge_until(nums, nums[0])
     state = MergeState(delta, tuple(Fraction(v, den) for v in vals))
-    return DeltaResult(DeltaKind.FOUND, delta, state)
+    return DeltaResult(DeltaKind.FOUND if delta else DeltaKind.ZERO, delta, state)
 
 
 def l1_via_delta(dist: FiniteDistribution) -> int:
     """Top codeword length from the delta occasion alone."""
-    result = delta_occasion(dist)
-    if result.trivial:
-        raise TrivialCaseError("p1 >= 1/2: the top codeword length is 1")
-    return floor_log2(dist.n - result.delta)
+    return delta_occasion(dist).l1
 
 
 def l1_lower_bound(p: Fraction) -> int:
     """floor(-log2 p): a lower bound on l1 whenever p1 < p."""
     p = Fraction(p)
     if not 0 < p < 1:
-        raise OutOfRangeError(f"p must be in (0, 1), got {p}")
+        raise OutOfRangeError(f"p must be in (0, 1), got {rat_str(p)}")
     return floor_neg_log2(p)
 
 
@@ -92,13 +89,13 @@ def delta_bounds(
     if b is not None:
         b = Fraction(b)
         if not 0 < b < 1:
-            raise OutOfRangeError(f"b must be in (0, 1), got {b}")
+            raise OutOfRangeError(f"b must be in (0, 1), got {rat_str(b)}")
         if p1 < b:
             upper = n - 1 / b
     if a is not None:
         a = Fraction(a)
         if not 0 < a < 1:
-            raise OutOfRangeError(f"a must be in (0, 1), got {a}")
+            raise OutOfRangeError(f"a must be in (0, 1), got {rat_str(a)}")
         if p1 > a:
             lower = n - 2 / a + 1
     return upper, lower

@@ -19,7 +19,7 @@ from prefixcode.errors import (
     NotSortedError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import common_numerators, exact_fraction
+from prefixcode.numutil import common_numerators, exact_fraction, rat_str
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,10 @@ class FiniteDistribution:
             raise TooFewEntriesError("a distribution needs at least 2 symbols")
         for p in probs:
             if p <= 0:
-                raise NonPositiveEntryError(f"entry {p} is not strictly positive")
+                raise NonPositiveEntryError(f"entry {rat_str(p)} is not strictly positive")
         for a, b in zip(probs, probs[1:]):
             if a < b:
-                raise NotSortedError(f"{a} < {b}: entries must be non-increasing")
+                raise NotSortedError(f"{rat_str(a)} < {rat_str(b)}: entries must be non-increasing")
         total = sum(probs)
         if total != 1:
             raise NotNormalizedError(total)
@@ -82,15 +82,15 @@ def counterexample(family: int, epsilon: Fraction) -> FiniteDistribution:
     e = exact_fraction(epsilon)
     if family == 1:
         if not 0 <= e < Fraction(1, 6):
-            raise EpsilonOutOfRangeError(f"family 1 needs 0 <= eps < 1/6, got {e}")
+            raise EpsilonOutOfRangeError(f"family 1 needs 0 <= eps < 1/6, got {rat_str(e)}")
         probs = (_THIRD + e, _THIRD, _THIRD - e)
     elif family == 2:
         if not 0 <= e < Fraction(1, 18):
-            raise EpsilonOutOfRangeError(f"family 2 needs 0 <= eps < 1/18, got {e}")
+            raise EpsilonOutOfRangeError(f"family 2 needs 0 <= eps < 1/18, got {rat_str(e)}")
         probs = (Fraction(2, 9) - e, _NINTH + e) + (_NINTH,) * 6
     elif family == 3:
         if not 0 <= e <= Fraction(1, 24):
-            raise EpsilonOutOfRangeError(f"family 3 needs 0 <= eps <= 1/24, got {e}")
+            raise EpsilonOutOfRangeError(f"family 3 needs 0 <= eps <= 1/24, got {rat_str(e)}")
         probs = (Fraction(1, 6) - e, _TWELFTH + e) + (_TWELFTH,) * 9
     else:
         raise ValueError(f"family must be 1, 2 or 3, got {family}")

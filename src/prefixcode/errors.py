@@ -17,9 +17,14 @@ class NotNormalizedError(PrefixCodeError):
     """Probabilities do not sum to exactly 1; carries the exact deficit."""
 
     def __init__(self, total: Fraction):
+        # numutil imports this module, so its renderer is looked up late
+        from prefixcode.numutil import rat_str
+
         self.total = total
         self.deficit = 1 - total
-        super().__init__(f"probabilities sum to {total} (deficit {self.deficit})")
+        super().__init__(
+            f"probabilities sum to {rat_str(total)} (deficit {rat_str(self.deficit)})"
+        )
 
 
 class NonPositiveEntryError(PrefixCodeError):

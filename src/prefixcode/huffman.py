@@ -1,4 +1,4 @@
-"""Deterministic Huffman coding with a complete merge trace.
+"""Deterministic Huffman coding with an exact, replayable merge trace.
 
 The merge rule is fully standardized so that every run over the same input
 is bit-identical: the two masses merged are always the last two positions
@@ -14,9 +14,10 @@ root has depth 0 and each merged node's two children sit one level deeper.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator
 
 from prefixcode import kernel
@@ -29,6 +30,7 @@ from prefixcode.errors import (
     SizeMismatchError,
     TooFewEntriesError,
 )
+from prefixcode.numutil import rat_str
 
 
 @dataclass(frozen=True)
@@ -57,29 +59,105 @@ class MergeState:
         return len(self.probs)
 
 
+def _check_state(vals: list[int], den: int) -> None:
+    """The checks of :class:`MergeState`, on integer weights over `den`."""
+    if not vals:
+        raise TooFewEntriesError("a merge state cannot be empty")
+    if min(vals) <= 0:
+        v = next(v for v in vals if v <= 0)
+        raise NonPositiveEntryError(f"state entry {rat_str(Fraction(v, den))} not positive")
+    if any(map(operator.lt, vals, islice(vals, 1, None))):
+        a, b = next((a, b) for a, b in zip(vals, vals[1:]) if a < b)
+        raise NotSortedError(
+            f"state entries {rat_str(Fraction(a, den))} < {rat_str(Fraction(b, den))}"
+            " out of order"
+        )
+    total = sum(vals)
+    if total != den:
+        raise NotNormalizedError(Fraction(total, den))
+
+
+class _Rendered(dict):
+    """JSON string of each weight's exact value over `den`, rendered once."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = '"' + rat_str(Fraction(v, self.den)) + '"'
+        return text
+
+
 @dataclass(frozen=True)
 class MergeTrace:
-    """All states from m = 0 to m = n-1 plus every insertion record.
+    """Integer record of the standardized merge process.
 
-    ``insertions[m-1]`` is ``(m, k, merged)``: merge number m placed the
-    merged mass at 1-based index k of the reduced state.
+    ``nums`` are the input weights over the shared denominator ``den``, and
+    merge m placed the merged weight ``sums[m-1]`` at 1-based index
+    ``ks[m-1]`` of the reduced state.  States are not stored: each view
+    regenerates them by replaying the record on one integer list, and checks
+    every state as :class:`MergeState` does (non-empty, positive,
+    non-increasing, summing to exactly ``den``).
     """
 
-    states: tuple[MergeState, ...]
-    insertions: tuple[tuple[int, int, Fraction], ...]
+    nums: tuple[int, ...]
+    den: int
+    ks: tuple[int, ...]
+    sums: tuple[int, ...]
+
+    def __post_init__(self):
+        if not len(self.ks) == len(self.sums) == len(self.nums) - 1:
+            raise SizeMismatchError(
+                f"{len(self.nums)} weights need {len(self.nums) - 1} merges, "
+                f"got {len(self.ks)} indices and {len(self.sums)} sums"
+            )
+
+    def _replay(self) -> Iterator[list[int]]:
+        """The checked weight list at m = 0, 1, ..., n-1; one list, updated
+        in place between yields."""
+        vals = list(self.nums)
+        _check_state(vals, self.den)
+        yield vals
+        for k, s in zip(self.ks, self.sums):
+            del vals[-2:]
+            if not 1 <= k <= len(vals) + 1:
+                raise NotSortedError(f"insertion index {k} outside [1, {len(vals) + 1}]")
+            vals.insert(k - 1, s)
+            _check_state(vals, self.den)
+            yield vals
+
+    @property
+    def states(self) -> tuple[MergeState, ...]:
+        """Every state from m = 0 to m = n-1."""
+        den = self.den
+        return tuple(
+            MergeState(m, tuple(Fraction(v, den) for v in vals))
+            for m, vals in enumerate(self._replay())
+        )
+
+    @property
+    def insertions(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """``insertions[m-1]`` is ``(m, k, merged)``: merge number m placed
+        the merged mass at 1-based index k of the reduced state."""
+        return tuple(
+            (m, k, Fraction(s, self.den))
+            for m, (k, s) in enumerate(zip(self.ks, self.sums), start=1)
+        )
+
+    def iter_json_lines(self) -> Iterator[str]:
+        """One JSON record per merge step, rationals rendered as strings,
+        produced one line at a time (the lines total O(n**2) characters)."""
+        rendered = _Rendered(self.den)
+        states = self._replay()
+        next(states)  # m = 0 has no record
+        for m, (k, s, vals) in enumerate(zip(self.ks, self.sums, states), start=1):
+            state = ", ".join(map(rendered.__getitem__, vals))
+            yield f'{{"m": {m}, "k": {k}, "merged": {rendered[s]}, "state": [{state}]}}'
 
     def json_lines(self) -> list[str]:
-        """One JSON record per merge step, rationals rendered as strings."""
-        lines = []
-        for m, k, merged in self.insertions:
-            record = {
-                "m": m,
-                "k": k,
-                "merged": str(merged),
-                "state": [str(p) for p in self.states[m].probs],
-            }
-            lines.append(json.dumps(record))
-        return lines
+        """All of :meth:`iter_json_lines` as a list."""
+        return list(self.iter_json_lines())
 
 
 @dataclass(frozen=True)
@@ -150,22 +228,19 @@ def huffman_lengths(dist: FiniteDistribution) -> LengthVector:
 
 
 def huffman(dist: FiniteDistribution) -> tuple[LengthVector, MergeTrace]:
-    """Standardized Huffman code lengths plus the full merge trace."""
+    """Standardized Huffman code lengths plus the integer merge trace."""
     nums, den = dist.common_numerators()
-    depths, ks, sums, raw_states, _ = kernel.run_merges(nums, record_states=True)
-    states = [MergeState(0, dist.probs)]
-    insertions = []
-    for m, (k, s, vals) in enumerate(zip(ks, sums, raw_states), start=1):
-        states.append(MergeState(m, tuple(Fraction(v, den) for v in vals)))
-        insertions.append((m, k, Fraction(s, den)))
-    return LengthVector(tuple(depths)), MergeTrace(tuple(states), tuple(insertions))
+    depths, ks, sums, _, _ = kernel.run_merges(nums)
+    trace = MergeTrace(tuple(nums), den, tuple(ks), tuple(sums))
+    return LengthVector(tuple(depths)), trace
 
 
 def kraft_sum(lengths: LengthVector | Iterable[int]) -> Fraction:
     """Exact sum of 2**(-l) over the vector."""
     if not isinstance(lengths, LengthVector):
         lengths = LengthVector(tuple(lengths))
-    return sum(Fraction(1, 2**l) for l in lengths)
+    top = lengths[-1]  # the largest, lengths being non-decreasing
+    return Fraction(sum(1 << (top - l) for l in lengths), 1 << top)
 
 
 def expected_length(dist: FiniteDistribution, lengths: LengthVector | Iterable[int]) -> Fraction:
@@ -176,7 +251,8 @@ def expected_length(dist: FiniteDistribution, lengths: LengthVector | Iterable[i
         raise SizeMismatchError(
             f"{dist.n} probabilities but {len(lengths)} lengths"
         )
-    return sum(p * l for p, l in zip(dist.probs, lengths))
+    nums, den = dist.common_numerators()
+    return Fraction(sum(v * l for v, l in zip(nums, lengths)), den)
 
 
 def canonical_codebook(lengths: LengthVector | Iterable[int]) -> CodeBook:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from prefixcode.errors import OutOfRangeError
-from prefixcode.numutil import floor_neg_log2
+from prefixcode.numutil import floor_neg_log2, rat_str
 from prefixcode.sources import SourceSpec
 
 _HALF = Fraction(1, 2)
@@ -70,7 +70,7 @@ def classify_l1(p1: Fraction) -> L1Classification:
     """Classify a top probability; open intervals, boundaries excluded."""
     p1 = Fraction(p1)
     if not 0 < p1 < 1:
-        raise OutOfRangeError(f"p1 must be in (0, 1), got {p1}")
+        raise OutOfRangeError(f"p1 must be in (0, 1), got {rat_str(p1)}")
     if p1 >= _HALF:
         return L1Classification(k=1, half_rule=True)
     # k is the least index with lower(k) < p1, i.e. 2**(k+1) + 1 > 2/p1.

@@ -16,6 +16,6 @@ except ImportError:  # extension not built on this install
 
     BACKEND = "pure"
 
-from prefixcode._kernel_py import state_after
+from prefixcode._kernel_py import merge_until, state_after
 
-__all__ = ["run_merges", "state_after", "BACKEND"]
+__all__ = ["run_merges", "state_after", "merge_until", "BACKEND"]

@@ -1,4 +1,4 @@
-"""Exact integer and rational helpers: log2 floors and decimal rendering.
+"""Exact integer and rational helpers: log2 floors and exact renderings.
 
 Everything here is pure integer arithmetic; no value is ever rounded through
 a float.
@@ -6,6 +6,7 @@ a float.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -22,6 +23,25 @@ def exact_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     return Fraction(value)
+
+
+def rat_str(x) -> str:
+    """Exact "a/b" rendering of a rational of any size.
+
+    ``str`` fails on an integer with more digits than the interpreter's
+    int-to-str limit (4300 by default), which valid inputs can reach; only
+    then is the limit lifted, for this render alone.
+    """
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def common_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -41,7 +61,7 @@ def floor_neg_log2(p: Fraction) -> int:
     """Largest t with p <= 2**-t, i.e. floor(-log2 p), for 0 < p <= 1."""
     p = Fraction(p)
     if not 0 < p <= 1:
-        raise OutOfRangeError(f"floor_neg_log2 needs 0 < p <= 1, got {p}")
+        raise OutOfRangeError(f"floor_neg_log2 needs 0 < p <= 1, got {rat_str(p)}")
     a, b = p.numerator, p.denominator
     # t such that a * 2**t <= b < a * 2**(t+1)
     t = (b // a).bit_length() - 1

@@ -29,7 +29,7 @@ from prefixcode.errors import (
     PrefixMassReachesOneError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import exact_fraction
+from prefixcode.numutil import exact_fraction, rat_str
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class AlphaVector:
             raise TooFewEntriesError("alpha vector must be non-empty")
         for a in alphas:
             if not 0 < a < 1:
-                raise AlphaOutOfRangeError(f"alpha {a} not in (0, 1)")
+                raise AlphaOutOfRangeError(f"alpha {rat_str(a)} not in (0, 1)")
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -88,10 +88,10 @@ def to_alphas(probs: Sequence[Fraction]) -> AlphaVector:
     for p in probs:
         p = exact_fraction(p)
         if p <= 0:
-            raise OutOfRangeError(f"prefix entry {p} is not strictly positive")
+            raise OutOfRangeError(f"prefix entry {rat_str(p)} is not strictly positive")
         if p >= residual:
             raise PrefixMassReachesOneError(
-                f"entry {p} consumes the remaining mass {residual}"
+                f"entry {rat_str(p)} consumes the remaining mass {rat_str(residual)}"
             )
         out.append(p / residual)
         residual -= p
@@ -145,7 +145,7 @@ class Geometric(SourceSpec):
         ratio = exact_fraction(self.ratio)
         object.__setattr__(self, "ratio", ratio)
         if not 0 < ratio < 1:
-            raise OutOfRangeError(f"ratio must be in (0, 1), got {ratio}")
+            raise OutOfRangeError(f"ratio must be in (0, 1), got {rat_str(ratio)}")
 
     def prob(self, i: int) -> Fraction:
         self._check_index(i)
@@ -193,7 +193,7 @@ class AlphaSequence(SourceSpec):
             # p_{i+1} <= p_i  <=>  b * (1 - a) <= a
             if b * (1 - a) > a:
                 raise NotSortedError(
-                    f"ratios {a}, {b} induce an increasing probability pair"
+                    f"ratios {rat_str(a)}, {rat_str(b)} induce an increasing probability pair"
                 )
 
     def alpha_at(self, i: int) -> Fraction:
@@ -253,16 +253,16 @@ class ExplicitHead(SourceSpec):
         if not head:
             raise TooFewEntriesError("head must be non-empty")
         if not 0 < ratio < 1:
-            raise OutOfRangeError(f"ratio must be in (0, 1), got {ratio}")
+            raise OutOfRangeError(f"ratio must be in (0, 1), got {rat_str(ratio)}")
         for p in head:
             if p <= 0:
-                raise OutOfRangeError(f"head entry {p} is not strictly positive")
+                raise OutOfRangeError(f"head entry {rat_str(p)} is not strictly positive")
         for a, b in zip(head, head[1:]):
             if a < b:
-                raise NotSortedError(f"head entries {a} < {b} are not sorted")
+                raise NotSortedError(f"head entries {rat_str(a)} < {rat_str(b)} are not sorted")
         mass = sum(head)
         if mass >= 1:
-            raise PrefixMassReachesOneError(f"head mass {mass} leaves no tail")
+            raise PrefixMassReachesOneError(f"head mass {rat_str(mass)} leaves no tail")
         if (1 - mass) * ratio > head[-1]:
             raise NotSortedError("first tail entry exceeds the last head entry")
 

@@ -15,6 +15,14 @@ def random_distribution(rng: random.Random, n: int, scale: int = 10**6) -> Finit
     return validate(sorted((Fraction(w, total) for w in weights), reverse=True))
 
 
+def tie_heavy_distribution(rng: random.Random, n: int) -> FiniteDistribution:
+    """Weights from a few small values, so equal masses and merge-sum ties
+    are the rule."""
+    weights = sorted((rng.choice((1, 1, 2, 2, 3, 4)) for _ in range(n)), reverse=True)
+    total = sum(weights)
+    return validate([Fraction(w, total) for w in weights])
+
+
 def near_uniform_distribution(rng: random.Random, n: int, base: int = 1000) -> FiniteDistribution:
     """Weights drawn from [W, 2W-1], so any two entries dominate the max."""
     w = rng.randint(base, 2 * base)

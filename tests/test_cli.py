@@ -7,8 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from prefixcode import classify_l1, kernel
+from prefixcode import cli, classify_l1, counterexample, kernel
 from prefixcode.cli import run
+from prefixcode.fileio import read_distribution_file
+from test_huffman import reference_trace_lines
 
 
 @pytest.fixture
@@ -67,6 +69,41 @@ class TestAnalyze:
         }
 
 
+    def test_untraced_analyze_never_builds_a_trace(self, capsys, dist_file, monkeypatch):
+        def refuse(dist):
+            raise AssertionError("huffman() called without --trace")
+
+        monkeypatch.setattr(cli, "huffman", refuse)
+        report, _ = run_json(capsys, ["analyze", f"file:{dist_file}"])
+        assert report["results"]["lengths"] == [1, 2, 3, 3]
+        run_json(capsys, ["counterexample", "2", "--analyze"])
+
+    @pytest.mark.parametrize("argv, dist", [
+        (["analyze", "file:{dist_file}"], None),
+        (["counterexample", "2", "--analyze"], counterexample(2, F(0))),
+        (["counterexample", "3", "--epsilon", "1/24"], counterexample(3, F(1, 24))),
+    ])
+    def test_trace_runs_the_kernel_once(self, capsys, dist_file, tmp_path, monkeypatch,
+                                        argv, dist):
+        calls = []
+        run_merges = kernel.run_merges
+
+        def counting(nums, *args, **kwargs):
+            calls.append(len(nums))
+            return run_merges(nums, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "run_merges", counting)
+        trace_path = tmp_path / "trace.jsonl"
+        argv = [a.format(dist_file=dist_file) for a in argv]
+        report, _ = run_json(capsys, argv + ["--trace", str(trace_path)])
+        if dist is None:
+            dist = read_distribution_file(dist_file)
+        assert calls == [dist.n]
+        assert trace_path.read_bytes() == (
+            "\n".join(reference_trace_lines(dist)) + "\n").encode()
+        assert report["results"]["trace_file"] == str(trace_path)
+
+
 class TestClassify:
     def test_determined(self, capsys):
         report, _ = run_json(capsys, ["classify-l1", "0.25"])
@@ -88,6 +125,33 @@ class TestClassify:
         assert report["inputs"]["p1"] == "1/1" + "0" * 20000
         assert report["results"]["k"] == classify_l1(F(1, 10**20000)).k
         assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-l1", "1e5000"],
+    ["converge", "--spec", "geom:1e5000", "--depth", "1"],
+    ["analyze", "geom:-1e5000", "--truncate", "4"],
+    ["anti-uniform", "alpha:[1/2,1e5000]"],
+    ["counterexample", "2", "--epsilon", "1e5000"],
+])
+def test_huge_out_of_range_rational_is_input_error(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1" + "0" * 5000 in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("lines", [
+    "1/2\n1e-5000\n",  # NotNormalizedError
+    "1e-5000\n1/2\n",  # NotSortedError
+])
+def test_huge_rational_in_a_bad_file_is_input_error(capsys, tmp_path, lines):
+    path = tmp_path / "dist.txt"
+    path.write_text(lines, encoding="utf-8")
+    assert run(["analyze", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1" + "0" * 5000 in err
 
 
 class TestDelta:

@@ -15,8 +15,21 @@ from prefixcode import (
     validate,
 )
 from prefixcode.errors import OutOfRangeError, TrivialCaseError
-from prefixcode.kernel import run_merges
-from randgen import distribution_with_p1_below_half
+from prefixcode.kernel import run_merges, state_after
+from randgen import distribution_with_p1_below_half, tie_heavy_distribution
+
+
+def full_run_delta(d):
+    """Delta and its state as first computed: every merge run, the merge
+    sums below p1 counted, then that many merges replayed."""
+    nums, den = d.common_numerators()
+    _, _, sums, _, _ = run_merges(nums)
+    delta = 0
+    for s in sums:
+        if s >= nums[0]:
+            break
+        delta += 1
+    return delta, tuple(F(v, den) for v in state_after(nums, delta))
 
 
 class TestDeltaOccasion:
@@ -60,6 +73,39 @@ class TestDeltaOccasion:
             _, _, _, _, parents = run_merges(nums)
             first_merge_of_p1 = parents[0] - (len(nums) - 1)
             assert first_merge_of_p1 > delta
+
+
+class TestEarlyStop:
+    def instances(self, rng):
+        for _ in range(150):
+            yield distribution_with_p1_below_half(rng, rng.randint(3, 64))
+        for _ in range(150):
+            d = tie_heavy_distribution(rng, rng.randint(3, 64))
+            if d.p1 < F(1, 2):
+                yield d
+        yield counterexample(2, F(0))
+        yield counterexample(2, F(1, 36))
+        yield counterexample(3, F(0))
+        yield counterexample(3, F(1, 24))
+        yield validate([F(1, 4)] * 4)
+
+    def test_matches_full_run_plus_replay(self, rng):
+        kinds = set()
+        for d in self.instances(rng):
+            result = delta_occasion(d)
+            assert (result.delta, result.state.probs) == full_run_delta(d)
+            assert result.state.m == result.delta
+            kinds.add(result.kind)
+        assert kinds == {DeltaKind.ZERO, DeltaKind.FOUND}
+
+    def test_counterexamples_at_zero_epsilon(self):
+        # the two smallest masses tie with p1: a sum equal to p1 stops at once
+        for family in (2, 3):
+            d = counterexample(family, F(0))
+            assert d.probs[-1] + d.probs[-2] == d.p1
+            result = delta_occasion(d)
+            assert result.kind is DeltaKind.ZERO
+            assert (result.delta, result.state.probs) == full_run_delta(d) == (0, d.probs)
 
 
 class TestL1ViaDelta:

@@ -1,13 +1,16 @@
 """The deterministic merge rule, traces, lengths, and code accounting."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
 from prefixcode import (
+    Geometric,
     LengthVector,
     MergeState,
+    MergeTrace,
     canonical_codebook,
     counterexample,
     expected_length,
@@ -15,15 +18,18 @@ from prefixcode import (
     huffman_lengths,
     kraft_sum,
     merge_step,
+    truncate,
     validate,
 )
 from prefixcode.errors import (
     KraftViolationError,
+    NonPositiveEntryError,
+    NotNormalizedError,
     NotSortedError,
     SizeMismatchError,
     TooFewEntriesError,
 )
-from randgen import near_uniform_distribution, random_distribution
+from randgen import near_uniform_distribution, random_distribution, tie_heavy_distribution
 
 
 class TestMergeStep:
@@ -181,3 +187,86 @@ class TestLengthVector:
             d = random_distribution(rng, rng.randint(2, 30))
             lv = huffman_lengths(d)
             assert all(a <= b for a, b in zip(lv, list(lv)[1:]))
+
+
+def reference_trace_lines(d):
+    """The trace as it was first written: every state a checked
+    ``MergeState`` of Fractions from ``merge_step``, each record through
+    ``json.dumps``."""
+    state = MergeState(0, d.probs)
+    lines = []
+    for m in range(1, d.n):
+        state, k = merge_step(state)
+        record = {
+            "m": m,
+            "k": k,
+            "merged": str(state.probs[k - 1]),
+            "state": [str(p) for p in state.probs],
+        }
+        lines.append(json.dumps(record))
+    return lines
+
+
+def trace_instances(rng):
+    for _ in range(40):
+        yield random_distribution(rng, rng.randint(2, 64))
+    for _ in range(40):
+        yield tie_heavy_distribution(rng, rng.randint(2, 64))
+    for family, epsilons in ((1, (0, F(1, 12))), (2, (0, F(1, 36))), (3, (0, F(1, 24)))):
+        for eps in epsilons:
+            yield counterexample(family, F(eps))
+    for n in (2, 3, 17, 64, 100):
+        yield truncate(Geometric(F(1, 4)), n)
+
+
+class TestTraceRecord:
+    def test_json_lines_match_the_reference(self, rng):
+        for d in trace_instances(rng):
+            _, trace = huffman(d)
+            expected = reference_trace_lines(d)
+            assert trace.json_lines() == expected
+            assert list(trace.iter_json_lines()) == expected
+
+    def test_states_and_insertions_match_merge_step(self, rng):
+        for d in trace_instances(rng):
+            _, trace = huffman(d)
+            states = trace.states
+            assert states[0] == MergeState(0, d.probs)
+            for m in range(1, d.n):
+                expected, k = merge_step(states[m - 1])
+                assert states[m] == expected
+                assert trace.insertions[m - 1] == (m, k, expected.probs[k - 1])
+
+    def test_record_is_integer(self):
+        d = validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
+        _, trace = huffman(d)
+        assert (trace.nums, trace.den, trace.ks, trace.sums) == (
+            (4, 3, 2, 1), 10, (2, 1, 1), (3, 6, 10))
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("ks", (1, 1, 1), NotSortedError),        # 3 lands before a larger 4
+        ("ks", (0, 1, 1), NotSortedError),        # index outside the state
+        ("ks", (5, 1, 1), NotSortedError),
+        ("sums", (4, 6, 10), NotNormalizedError),  # 4 is not 2 + 1
+        ("sums", (3, 7, 10), NotNormalizedError),  # 7 is not 3 + 3
+    ])
+    def test_corrupted_record_is_rejected(self, field, value, error):
+        d = validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
+        _, trace = huffman(d)
+        bad = dataclasses.replace(trace, **{field: value})
+        with pytest.raises(error):
+            list(bad.iter_json_lines())
+        with pytest.raises(error):
+            bad.states
+
+    def test_corrupted_input_weights_are_rejected(self):
+        with pytest.raises(NotSortedError):
+            MergeTrace((1, 2), 3, (1,), (3,)).json_lines()
+        with pytest.raises(NonPositiveEntryError):
+            MergeTrace((3, 0), 3, (1,), (3,)).json_lines()
+        with pytest.raises(NotNormalizedError):
+            MergeTrace((2, 1), 4, (1,), (3,)).json_lines()
+
+    def test_record_lengths_must_agree(self):
+        with pytest.raises(SizeMismatchError):
+            MergeTrace((2, 1), 3, (1, 1), (3,))

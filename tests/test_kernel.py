@@ -77,6 +77,18 @@ def test_state_after_matches_recorded_states(rng):
         _kernel_py.state_after(nums, len(nums))
 
 
+def test_merge_until_stops_at_the_first_sum_reaching_the_bound(rng):
+    for _ in range(100):
+        n = rng.randint(2, 40)
+        nums = sorted((rng.randint(1, rng.choice((4, 500))) for _ in range(n)), reverse=True)
+        _, _, sums, states, _ = _kernel_py.run_merges(nums, True)
+        for bound in (nums[0], rng.randint(1, sum(nums)), sum(nums)):
+            steps, vals = _kernel_py.merge_until(nums, bound)
+            assert all(s < bound for s in sums[:steps])
+            assert sums[steps] >= bound
+            assert vals == ([nums] + states)[steps]
+
+
 @pytest.mark.skipif(_kernel_cy is None, reason="compiled kernel not built")
 def test_backends_agree(rng):
     for _ in range(100):
