@@ -53,7 +53,6 @@ from prefixcode.intervals import (
     coverage_sum,
     interval_for,
 )
-from prefixcode.kernel import BACKEND as KERNEL_BACKEND
 from prefixcode.oracle import (
     OptimalSet,
     count_kraft_tight,
@@ -85,7 +84,6 @@ __all__ = [
     "ExplicitHead",
     "FiniteDistribution",
     "Geometric",
-    "KERNEL_BACKEND",
     "L1Classification",
     "L1Interval",
     "LengthVector",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from prefixcode.errors import (
@@ -57,9 +58,16 @@ class FiniteDistribution:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.probs)
 
+    @cached_property
+    def _numerators(self) -> tuple[tuple[int, ...], int]:
+        nums, den = common_numerators(self.probs)
+        return tuple(nums), den
+
     def common_numerators(self) -> tuple[list[int], int]:
-        """Integer numerators over the least common denominator."""
-        return common_numerators(self.probs)
+        """Integer numerators over the least common denominator: computed
+        once per distribution, returned as a fresh list on every call."""
+        nums, den = self._numerators
+        return list(nums), den
 
 
 def validate(probs: Iterable[Fraction]) -> FiniteDistribution:

@@ -223,14 +223,14 @@ def merge_step(state: MergeState) -> tuple[MergeState, int]:
 def huffman_lengths(dist: FiniteDistribution) -> LengthVector:
     """Codeword lengths of the standardized Huffman code (no trace)."""
     nums, _ = dist.common_numerators()
-    depths, _, _, _, _ = kernel.run_merges(nums)
+    depths, _, _, _ = kernel.run_merges(nums)
     return LengthVector(tuple(depths))
 
 
 def huffman(dist: FiniteDistribution) -> tuple[LengthVector, MergeTrace]:
     """Standardized Huffman code lengths plus the integer merge trace."""
     nums, den = dist.common_numerators()
-    depths, ks, sums, _, _ = kernel.run_merges(nums)
+    depths, ks, sums, _ = kernel.run_merges(nums)
     trace = MergeTrace(tuple(nums), den, tuple(ks), tuple(sums))
     return LengthVector(tuple(depths)), trace
 

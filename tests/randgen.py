@@ -39,12 +39,15 @@ def distribution_with_p1(
     m = n - 1
     if m * p1 < rest:
         raise ValueError(f"(p1={p1}, n={n}) is infeasible")
+    a, b = p1.numerator, p1.denominator
     for _ in range(tries):
         weights = [rng.randint(1, scale) for _ in range(m)]
         total = sum(weights)
-        others = [rest * Fraction(w, total) for w in weights]
-        if max(others) <= p1:
-            return validate(sorted([p1] + others, reverse=True))
+        # max(others) <= p1 with others = rest * w / total, in integers;
+        # the others sort as their weights do, and p1 is the largest
+        if (b - a) * max(weights) <= a * total:
+            weights.sort(reverse=True)
+            return validate([p1] + [Fraction((b - a) * w, b * total) for w in weights])
     # equal split is always feasible
     return validate(sorted([p1] + [rest / m] * m, reverse=True))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prefixcode import counterexample, validate
+from prefixcode import counterexample, distributions, validate
 from prefixcode.errors import (
     EpsilonOutOfRangeError,
     NonPositiveEntryError,
@@ -56,6 +56,25 @@ def test_common_numerators_reconstruct():
     nums, den = d.common_numerators()
     assert nums == [4, 3, 2, 1] and den == 10
     assert [F(a, den) for a in nums] == list(d.probs)
+
+
+def test_common_numerators_computed_once_and_never_shared(monkeypatch):
+    calls = []
+    original = distributions.common_numerators
+
+    def counting(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(distributions, "common_numerators", counting)
+    d = validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
+    nums, den = d.common_numerators()
+    nums[0] = 99
+    nums.append(7)
+    assert d.common_numerators() == ([4, 3, 2, 1], 10)
+    assert d.common_numerators()[0] is not d.common_numerators()[0]
+    assert calls == [4]
+    assert d == validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**9), min_size=2, max_size=30))

@@ -1,49 +1,130 @@
-"""Both kernel twins must agree bit for bit and preserve exact invariants."""
+"""The two-queue merge kernel equals the binary-search loop it replaced, bit
+for bit, and preserves exact invariants."""
 
-import random
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from prefixcode import _kernel_py
-
-BACKENDS = [pytest.param(_kernel_py.run_merges, id="pure")]
-try:
-    from prefixcode import _kernel_cy
-
-    BACKENDS.append(pytest.param(_kernel_cy.run_merges, id="compiled"))
-except ImportError:
-    _kernel_cy = None
+from prefixcode import Geometric, kernel
+from prefixcode.huffman import MergeState, merge_step
+from prefixcode.numutil import common_numerators
 
 
-@pytest.mark.parametrize("run_merges", BACKENDS)
+def reference_merges(nums):
+    """The merge loop as first written: pop the last two weights, find the
+    leftmost weight <= their sum by binary search, insert the sum there.
+
+    Slow (a list insertion per merge) and plainly right.  Returns
+    ``(lengths, ks, sums, parents, states)``, ``states[m-1]`` being the
+    weight list after merge m.
+    """
+    n = len(nums)
+    if n < 2:
+        raise ValueError("need at least two weights")
+    vals = list(nums)
+    ids = list(range(n))
+    parents = [0] * (2 * n - 1)
+    ks, sums, states = [], [], []
+    for m in range(1, n):
+        b, bi = vals.pop(), ids.pop()
+        a, ai = vals.pop(), ids.pop()
+        s = a + b
+        parents[ai] = parents[bi] = n - 1 + m
+        lo, hi = 0, len(vals)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if vals[mid] <= s:
+                hi = mid
+            else:
+                lo = mid + 1
+        vals.insert(lo, s)
+        ids.insert(lo, n - 1 + m)
+        ks.append(lo + 1)
+        sums.append(s)
+        states.append(vals.copy())
+    depths = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):
+        depths[node] = depths[parents[node]] + 1
+    return depths[:n], ks, sums, parents, states
+
+
+def reference_run(nums):
+    return reference_merges(nums)[:4]
+
+
+def reference_merge_until(nums, bound):
+    """Steps and state of merge_until, read off the reference's full run."""
+    _, _, sums, _, states = reference_merges(nums)
+    steps = next((m for m, s in enumerate(sums) if s >= bound), len(sums))
+    return steps, ([list(nums)] + states)[steps]
+
+
+# the pure-Python kernel, and the reference it must equal
+RUN_MERGES = [pytest.param(kernel.run_merges, id="pure"),
+              pytest.param(reference_run, id="reference")]
+
+
+def geometric_numerators(n_max):
+    nums, _ = common_numerators(Geometric(Fraction(1, 4)).prefix_probs(n_max))
+    return nums
+
+
+@pytest.mark.parametrize("run_merges", RUN_MERGES)
 def test_reference_example(run_merges):
     # weights 4,3,2,1 over denominator 10
-    depths, ks, sums, states, parents = run_merges([4, 3, 2, 1], True)
+    nums = [4, 3, 2, 1]
+    depths, ks, sums, parents = run_merges(nums)
+    states = reference_merges(nums)[4]
     assert depths == [1, 2, 3, 3]
     assert ks == [2, 1, 1]
     assert sums == [3, 6, 10]
     assert states == [[4, 3, 3], [6, 4], [10]]
+    assert [kernel.state_after(nums, m) for m in (1, 2, 3)] == states
     # merge 1 (node 4) has children 2 and 3; root is node 6
     assert parents[2] == parents[3] == 4
     assert parents[4] == parents[1] == 5
     assert parents[5] == parents[0] == 6
 
 
-@pytest.mark.parametrize("run_merges", BACKENDS)
+@pytest.mark.parametrize("run_merges", RUN_MERGES)
 def test_tie_inserts_before_equals(run_merges):
     # 1/3, 1/3, 1/3 over denominator 3: merged 2/3 goes in front
-    _, ks, sums, states, _ = run_merges([1, 1, 1], True)
+    _, ks, sums, _ = run_merges([1, 1, 1])
+    states = reference_merges([1, 1, 1])[4]
     assert ks == [1, 1]
     assert states[0] == [2, 1]
+    assert kernel.state_after([1, 1, 1], 1) == [2, 1]
 
 
-@pytest.mark.parametrize("run_merges", BACKENDS)
+@pytest.mark.parametrize("run_merges", RUN_MERGES)
+def test_leaf_pops_before_an_equal_merged_node(run_merges):
+    # merge 1 makes node 4 = 2, tying leaf 0; leaf 1 merges with leaf 0
+    depths, ks, sums, parents = run_merges([2, 1, 1, 1])
+    assert ks == [1, 1, 1]
+    assert sums == [2, 3, 5]
+    assert parents[:6] == [5, 5, 4, 4, 6, 6]
+    assert depths == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("run_merges", RUN_MERGES)
+def test_older_merged_node_pops_before_an_equal_newer_one(run_merges):
+    # nodes 5 and 6 both weigh 2; leaf 0 merges with the older, node 5
+    depths, ks, sums, parents = run_merges([1, 1, 1, 1, 1])
+    assert ks == [1, 1, 1, 1]
+    assert sums == [2, 2, 3, 5]
+    assert parents[:8] == [7, 6, 6, 5, 5, 7, 8, 8]
+    assert depths == [2, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("run_merges", RUN_MERGES)
 def test_mass_and_order_invariants(run_merges, rng):
     for _ in range(50):
         n = rng.randint(2, 40)
         nums = sorted((rng.randint(1, 10**6) for _ in range(n)), reverse=True)
         total = sum(nums)
-        _, _, sums, states, _ = run_merges(nums, True)
+        _, _, sums, _ = run_merges(nums)
+        states = reference_merges(nums)[4]
         for state in states:
             assert sum(state) == total
             assert all(a >= b for a, b in zip(state, state[1:]))
@@ -51,17 +132,17 @@ def test_mass_and_order_invariants(run_merges, rng):
         assert sums[-1] == total
 
 
-@pytest.mark.parametrize("run_merges", BACKENDS)
+@pytest.mark.parametrize("run_merges", RUN_MERGES)
 def test_kraft_tight_depths(run_merges, rng):
     for _ in range(50):
         n = rng.randint(2, 40)
         nums = sorted((rng.randint(1, 999) for _ in range(n)), reverse=True)
-        depths, _, _, _, _ = run_merges(nums)
+        depths, _, _, _ = run_merges(nums)
         assert sum(2 ** (max(depths) - d) for d in depths) == 2 ** max(depths)
         assert all(a <= b for a, b in zip(depths, depths[1:]))
 
 
-@pytest.mark.parametrize("run_merges", BACKENDS)
+@pytest.mark.parametrize("run_merges", RUN_MERGES)
 def test_rejects_single_weight(run_merges):
     with pytest.raises(ValueError):
         run_merges([7])
@@ -69,33 +150,64 @@ def test_rejects_single_weight(run_merges):
 
 def test_state_after_matches_recorded_states(rng):
     nums = sorted((rng.randint(1, 500) for _ in range(25)), reverse=True)
-    _, _, _, states, _ = _kernel_py.run_merges(nums, True)
-    assert _kernel_py.state_after(nums, 0) == nums
+    states = reference_merges(nums)[4]
+    assert kernel.state_after(nums, 0) == nums
     for steps, state in enumerate(states, start=1):
-        assert _kernel_py.state_after(nums, steps) == state
+        assert kernel.state_after(nums, steps) == state
     with pytest.raises(ValueError):
-        _kernel_py.state_after(nums, len(nums))
+        kernel.state_after(nums, len(nums))
 
 
 def test_merge_until_stops_at_the_first_sum_reaching_the_bound(rng):
     for _ in range(100):
         n = rng.randint(2, 40)
         nums = sorted((rng.randint(1, rng.choice((4, 500))) for _ in range(n)), reverse=True)
-        _, _, sums, states, _ = _kernel_py.run_merges(nums, True)
+        _, _, sums, _, states = reference_merges(nums)
         for bound in (nums[0], rng.randint(1, sum(nums)), sum(nums)):
-            steps, vals = _kernel_py.merge_until(nums, bound)
+            steps, vals = kernel.merge_until(nums, bound)
             assert all(s < bound for s in sums[:steps])
             assert sums[steps] >= bound
             assert vals == ([nums] + states)[steps]
 
 
-@pytest.mark.skipif(_kernel_cy is None, reason="compiled kernel not built")
-def test_backends_agree(rng):
-    for _ in range(100):
-        n = rng.randint(2, 64)
-        if rng.random() < 0.5:
-            nums = sorted((rng.randint(1, 10**3) for _ in range(n)), reverse=True)
-        else:
-            # big-int regime, thousands of bits
-            nums = [4 ** (n - i) * 3 ** (i - 1) for i in range(1, n + 1)]
-        assert _kernel_py.run_merges(nums, True) == _kernel_cy.run_merges(nums, True)
+def differential_inputs(rng):
+    """3000 seeded tie-prone inputs, n in 2..80, weights from five ranges."""
+    for _ in range(3000):
+        n = rng.randint(2, 80)
+        hi = rng.choice((1, 2, 4, 500, 10**6))
+        yield sorted((rng.randint(1, hi) for _ in range(n)), reverse=True)
+
+
+def test_kernel_equals_reference_on_random_inputs(rng):
+    for nums in differential_inputs(rng):
+        *run, states = reference_merges(nums)
+        assert kernel.run_merges(nums) == tuple(run)
+        assert [kernel.state_after(nums, m) for m in range(len(nums))] == [nums] + states
+        total = sum(nums)
+        for bound in (nums[0], rng.randint(1, total), total, total + 1):
+            assert kernel.merge_until(nums, bound) == reference_merge_until(nums, bound)
+
+
+def test_kernel_equals_reference_on_geometric_prefixes():
+    # geometric(1/4) numerators over the n = 300 denominator: up to ~600 bits
+    full = geometric_numerators(300)
+    for n in range(2, 301):
+        nums = full[:n]
+        *run, states = reference_merges(nums)
+        assert kernel.run_merges(nums) == tuple(run)
+        for bound in (nums[0], sum(nums), sum(nums) + 1):
+            assert kernel.merge_until(nums, bound) == reference_merge_until(nums, bound)
+        if n % 50 == 0:
+            assert [kernel.state_after(nums, m) for m in range(n)] == [nums] + states
+
+
+def test_reference_equals_fraction_merge_step(rng):
+    # the integer reference against huffman.merge_step on exact probabilities
+    for nums in islice(differential_inputs(rng), 100):
+        den = sum(nums)
+        _, ks, _, _, states = reference_merges(nums)
+        state = MergeState(0, tuple(Fraction(v, den) for v in nums))
+        for k, expected in zip(ks, states):
+            state, step_k = merge_step(state)
+            assert step_k == k
+            assert state.probs == tuple(Fraction(v, den) for v in expected)
