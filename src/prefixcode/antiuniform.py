@@ -24,7 +24,11 @@ from typing import Sequence
 from prefixcode.distributions import FiniteDistribution
 from prefixcode.errors import OutOfRangeError
 from prefixcode.huffman import LengthVector, huffman_lengths
-from prefixcode.sources import AlphaSequence, AlphaVector, SourceSpec, truncate
+from prefixcode.sources import AlphaSequence, AlphaVector, SourceSpec, coerce_alphas, truncate
+
+# Largest --depth of the infinite-tail test: the exact tail masses grow in
+# size with the index, so the work grows faster than depth.
+MAX_DEPTH = 4096
 
 
 @dataclass(frozen=True)
@@ -41,16 +45,18 @@ class AntiUniformVerdict:
 
 
 def check_finite(dist: FiniteDistribution) -> AntiUniformVerdict:
-    """Exact suffix-sum test over all 1 <= i <= n-3 (vacuous for n <= 3)."""
-    probs = dist.probs
-    n = len(probs)
-    suffix = [Fraction(0)] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + probs[j]
-    for i in range(1, n - 2):
-        tail = suffix[i + 1]  # p_{i+2} + ... + p_n (0-based index i+1)
-        if tail > probs[i - 1]:
-            return AntiUniformVerdict(False, i, (tail, probs[i - 1]))
+    """Exact suffix-sum test over all 1 <= i <= n-3 (vacuous for n <= 3).
+
+    Runs on the integer numerators: p_{i+2} + ... + p_n is den minus the
+    running head sum p_1 + ... + p_{i+1}.
+    """
+    nums, den = dist.common_numerators()
+    head = nums[0]
+    for i in range(1, len(nums) - 2):
+        head += nums[i]
+        tail = den - head
+        if tail > nums[i - 1]:
+            return AntiUniformVerdict(False, i, (Fraction(tail, den), dist.probs[i - 1]))
     return AntiUniformVerdict(True)
 
 
@@ -58,6 +64,8 @@ def check_infinite_tail(spec: SourceSpec, depth: int) -> AntiUniformVerdict:
     """Exact infinite-tail test for all 1 <= i <= depth."""
     if depth < 1:
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
+    if depth > MAX_DEPTH:
+        raise OutOfRangeError(f"depth {depth} exceeds the limit {MAX_DEPTH}")
     probs = spec.prefix_probs(depth)
     for i in range(1, depth + 1):
         tail = spec.tail_after(i + 1)
@@ -66,19 +74,13 @@ def check_infinite_tail(spec: SourceSpec, depth: int) -> AntiUniformVerdict:
     return AntiUniformVerdict(True)
 
 
-def _alpha_tuple(alphas: AlphaVector | Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not isinstance(alphas, AlphaVector):
-        alphas = AlphaVector(tuple(alphas))
-    return alphas.alphas
-
-
 def alpha_criterion(alphas: AlphaVector | Sequence[Fraction]) -> bool:
     """Per-element threshold test: every a satisfies a**2 - 3a + 1 <= 0.
 
     Over (0, 1) this is exactly a >= root of (1-x)**2 = x, evaluated
     without ever materializing the irrational root.
     """
-    return all(a * a - 3 * a + 1 <= 0 for a in _alpha_tuple(alphas))
+    return all(a * a - 3 * a + 1 <= 0 for a in coerce_alphas(alphas))
 
 
 def alpha_pairwise_criterion(alphas: AlphaVector | Sequence[Fraction]) -> bool:
@@ -88,7 +90,7 @@ def alpha_pairwise_criterion(alphas: AlphaVector | Sequence[Fraction]) -> bool:
     (1-a)**2 <= a is included.  This is the minimal condition the
     anti-uniform argument needs; :func:`alpha_criterion` implies it.
     """
-    avec = _alpha_tuple(alphas)
+    avec = coerce_alphas(alphas)
     pairs = list(zip(avec, avec[1:])) + [(avec[-1], avec[-1])]
     return all((1 - a) * (1 - b) <= a for a, b in pairs)
 
@@ -111,7 +113,7 @@ def verify_truncation_anti_uniform(
     Construction errors (for example ratio lists inducing an unsorted
     source) propagate.
     """
-    avec = _alpha_tuple(alphas)
+    avec = coerce_alphas(alphas)
     if n < 4:
         raise OutOfRangeError(f"n must be >= 4, got {n}")
     if not alpha_criterion(avec):

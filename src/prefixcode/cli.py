@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true",
                    help="print the enumeration universe size only")
     p.add_argument("--max-len", type=int, default=None,
-                   help="cap on codeword length (default n-1)")
+                   help="cap on codeword length (default n-1); "
+                        "applies only with --count-only")
     p.set_defaults(handler=_cmd_oracle)
 
     p = add_parser("converge", help="truncation stabilization report")

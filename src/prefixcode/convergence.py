@@ -14,28 +14,21 @@ canonical codeword assignment) and labels each entry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from prefixcode import kernel
 from prefixcode.antiuniform import alpha_criterion
-from prefixcode.errors import (
-    NonPositiveEntryError,
-    NotNormalizedError,
-    NotSortedError,
-    OutOfRangeError,
-    SymbolOutOfRangeError,
-)
+from prefixcode.distributions import check_weights
+from prefixcode.errors import OutOfRangeError, SymbolOutOfRangeError
 # huffman_lengths stays importable from this module: perfbench's tracer
 # tests rebind it under this name
 from prefixcode.huffman import LengthVector, huffman_lengths  # noqa: F401
 from prefixcode.intervals import classify_l1_infinite
 from prefixcode.numutil import common_numerators
-from prefixcode.sources import SourceSpec
+from prefixcode.sources import MAX_TRUNCATION, SourceSpec, check_head_sum
 
 DEFAULT_WINDOW = 32
 DEFAULT_NMAX = 512
-_NMAX_LIMIT = 4096
 
 CERTIFIED = "CERTIFIED"
 EMPIRICAL = "EMPIRICAL"
@@ -51,24 +44,16 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int) -> Iterator[list[int]]:
     sortedness of the n_max prefix (every shorter prefix inherits them), and
     an exact partial sum S_n for every n.
     """
-    if not 2 <= n_min <= n_max <= _NMAX_LIMIT:
+    if not 2 <= n_min <= n_max <= MAX_TRUNCATION:
         raise OutOfRangeError(
-            f"need 2 <= n_min <= n_max <= {_NMAX_LIMIT}, got [{n_min}, {n_max}]"
+            f"need 2 <= n_min <= n_max <= {MAX_TRUNCATION}, got [{n_min}, {n_max}]"
         )
-    probs = spec.prefix_probs(n_max)
-    for p in probs:
-        if p <= 0:
-            raise NonPositiveEntryError(f"entry {p} is not strictly positive")
-    for a, b in zip(probs, probs[1:]):
-        if a < b:
-            raise NotSortedError(f"{a} < {b}: entries must be non-increasing")
-    nums, den = common_numerators(probs)
+    nums, den = common_numerators(spec.prefix_probs(n_max))
+    check_weights(nums, sum(nums))
     total = sum(nums[: n_min - 1])
     for n in range(n_min, n_max + 1):
         total += nums[n - 1]
-        sn = spec.head_sum(n)
-        if total * sn.denominator != sn.numerator * den:
-            raise NotNormalizedError(Fraction(total, den) / sn)
+        check_head_sum(spec, n, total, den)
         yield kernel.run_merges(nums[:n])[0]
 
 

@@ -1,17 +1,20 @@
 """Finite probability distributions with exact rational entries.
 
 A :class:`FiniteDistribution` is sorted non-increasing, strictly positive,
-and sums to exactly 1; every construction path validates all three.  Float
+and sums to exactly 1; every construction path validates all three, once,
+on integer numerators over the least common denominator
+(:func:`check_weights`).  Float
 inputs convert through their shortest decimal rendering (``0.4`` becomes
 2/5), never through their binary expansion.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from prefixcode.errors import (
     EpsilonOutOfRangeError,
@@ -21,6 +24,29 @@ from prefixcode.errors import (
     TooFewEntriesError,
 )
 from prefixcode.numutil import common_numerators, exact_fraction, rat_str
+
+
+def check_weights(vals: Sequence[int], den: int) -> None:
+    """Check integer weights over a denominator `den` > 0: non-empty,
+    positive, non-increasing, and summing to exactly `den`, in that order.
+
+    Every distribution, merge state and truncation is validated here; the
+    messages render the weights as exact rationals of any size.
+    """
+    if not vals:
+        raise TooFewEntriesError("a weight list cannot be empty")
+    if min(vals) <= 0:
+        v = next(v for v in vals if v <= 0)
+        raise NonPositiveEntryError(f"entry {rat_str(Fraction(v, den))} is not strictly positive")
+    if any(map(operator.lt, vals, islice(vals, 1, None))):
+        a, b = next((a, b) for a, b in zip(vals, vals[1:]) if a < b)
+        raise NotSortedError(
+            f"{rat_str(Fraction(a, den))} < {rat_str(Fraction(b, den))}:"
+            " entries must be non-increasing"
+        )
+    total = sum(vals)
+    if total != den:
+        raise NotNormalizedError(Fraction(total, den))
 
 
 @dataclass(frozen=True)
@@ -34,15 +60,10 @@ class FiniteDistribution:
         object.__setattr__(self, "probs", probs)
         if len(probs) < 2:
             raise TooFewEntriesError("a distribution needs at least 2 symbols")
-        for p in probs:
-            if p <= 0:
-                raise NonPositiveEntryError(f"entry {rat_str(p)} is not strictly positive")
-        for a, b in zip(probs, probs[1:]):
-            if a < b:
-                raise NotSortedError(f"{rat_str(a)} < {rat_str(b)}: entries must be non-increasing")
-        total = sum(probs)
-        if total != 1:
-            raise NotNormalizedError(total)
+        nums, den = common_numerators(probs)
+        check_weights(nums, den)
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
 
     @property
     def n(self) -> int:
@@ -58,16 +79,10 @@ class FiniteDistribution:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.probs)
 
-    @cached_property
-    def _numerators(self) -> tuple[tuple[int, ...], int]:
-        nums, den = common_numerators(self.probs)
-        return tuple(nums), den
-
     def common_numerators(self) -> tuple[list[int], int]:
         """Integer numerators over the least common denominator: computed
-        once per distribution, returned as a fresh list on every call."""
-        nums, den = self._numerators
-        return list(nums), den
+        once, at construction, returned as a fresh list on every call."""
+        return list(self._nums), self._den
 
 
 def validate(probs: Iterable[Fraction]) -> FiniteDistribution:

@@ -14,23 +14,20 @@ root has depth 0 and each merged node's two children sit one level deeper.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Iterator
 
 from prefixcode import kernel
-from prefixcode.distributions import FiniteDistribution
+from prefixcode.distributions import FiniteDistribution, check_weights
 from prefixcode.errors import (
     KraftViolationError,
     NonPositiveEntryError,
-    NotNormalizedError,
     NotSortedError,
     SizeMismatchError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import rat_str
+from prefixcode.numutil import common_numerators, rat_str
 
 
 @dataclass(frozen=True)
@@ -43,38 +40,10 @@ class MergeState:
     def __post_init__(self):
         probs = tuple(Fraction(p) for p in self.probs)
         object.__setattr__(self, "probs", probs)
-        if not probs:
-            raise TooFewEntriesError("a merge state cannot be empty")
-        for p in probs:
-            if p <= 0:
-                raise NonPositiveEntryError(f"state entry {p} not positive")
-        for a, b in zip(probs, probs[1:]):
-            if a < b:
-                raise NotSortedError(f"state entries {a} < {b} out of order")
-        total = sum(probs)
-        if total != 1:
-            raise NotNormalizedError(total)
+        check_weights(*common_numerators(probs))
 
     def __len__(self) -> int:
         return len(self.probs)
-
-
-def _check_state(vals: list[int], den: int) -> None:
-    """The checks of :class:`MergeState`, on integer weights over `den`."""
-    if not vals:
-        raise TooFewEntriesError("a merge state cannot be empty")
-    if min(vals) <= 0:
-        v = next(v for v in vals if v <= 0)
-        raise NonPositiveEntryError(f"state entry {rat_str(Fraction(v, den))} not positive")
-    if any(map(operator.lt, vals, islice(vals, 1, None))):
-        a, b = next((a, b) for a, b in zip(vals, vals[1:]) if a < b)
-        raise NotSortedError(
-            f"state entries {rat_str(Fraction(a, den))} < {rat_str(Fraction(b, den))}"
-            " out of order"
-        )
-    total = sum(vals)
-    if total != den:
-        raise NotNormalizedError(Fraction(total, den))
 
 
 class _Rendered(dict):
@@ -97,8 +66,8 @@ class MergeTrace:
     merge m placed the merged weight ``sums[m-1]`` at 1-based index
     ``ks[m-1]`` of the reduced state.  States are not stored: each view
     regenerates them by replaying the record on one integer list, and checks
-    every state as :class:`MergeState` does (non-empty, positive,
-    non-increasing, summing to exactly ``den``).
+    every state with :func:`~prefixcode.distributions.check_weights`, as
+    :class:`MergeState` does.
     """
 
     nums: tuple[int, ...]
@@ -117,14 +86,14 @@ class MergeTrace:
         """The checked weight list at m = 0, 1, ..., n-1; one list, updated
         in place between yields."""
         vals = list(self.nums)
-        _check_state(vals, self.den)
+        check_weights(vals, self.den)
         yield vals
         for k, s in zip(self.ks, self.sums):
             del vals[-2:]
             if not 1 <= k <= len(vals) + 1:
                 raise NotSortedError(f"insertion index {k} outside [1, {len(vals) + 1}]")
             vals.insert(k - 1, s)
-            _check_state(vals, self.den)
+            check_weights(vals, self.den)
             yield vals
 
     @property

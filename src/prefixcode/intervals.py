@@ -20,6 +20,9 @@ from prefixcode.numutil import floor_neg_log2, rat_str
 from prefixcode.sources import SourceSpec
 
 _HALF = Fraction(1, 2)
+# Largest --terms of coverage_sum: the partial sum's denominator has about
+# 0.6 * terms**2 bits, so the work grows much faster than terms.
+MAX_TERMS = 512
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,8 @@ def coverage_sum(terms: int) -> CoverageBounds:
     """Sum the first ``terms`` interval widths and bound the infinite sum."""
     if terms < 1:
         raise OutOfRangeError(f"terms must be >= 1, got {terms}")
+    if terms > MAX_TERMS:
+        raise OutOfRangeError(f"terms {terms} exceeds the limit {MAX_TERMS}")
     partial = sum(
         (L1Interval(k).upper - L1Interval(k).lower for k in range(1, terms + 1)),
         Fraction(0),

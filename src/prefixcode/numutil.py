@@ -45,9 +45,14 @@ def rat_str(x) -> str:
 
 
 def common_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of the values over their least common denominator."""
+    """Integer numerators of the values over their least common denominator.
+
+    A value already over that denominator lends its own numerator object, so
+    a distribution that keeps its numerators holds no second copy of them.
+    """
     den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return [v.numerator if v.denominator == den else v.numerator * (den // v.denominator)
+            for v in values], den
 
 
 def floor_log2(n: int) -> int:

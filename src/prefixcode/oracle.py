@@ -38,14 +38,13 @@ def enumerate_kraft_tight(n: int, max_len: int | None = None) -> Iterator[Length
     """Yield every non-decreasing vector with sum(2**-l) = 1, each once.
 
     ``max_len`` defaults to n - 1, the deepest leaf any binary code tree on
-    n leaves can have.
+    n leaves can have; a larger cap allows nothing more and is clamped to it.
     """
     if n < 2:
         raise OutOfRangeError(f"n must be >= 2, got {n}")
     if n > _MAX_N:
         raise UniverseTooLargeError(f"n = {n} exceeds the certifiable limit {_MAX_N}")
-    if max_len is None:
-        max_len = n - 1
+    max_len = n - 1 if max_len is None else min(max_len, n - 1)
     min_len = (n - 1).bit_length()  # ceil(log2 n)
     if max_len < min_len:
         raise OutOfRangeError(f"max_len {max_len} cannot host {n} leaves")

@@ -4,7 +4,8 @@ A source over symbols 1, 2, ... is represented by one of three generator
 families, each of which can produce any prefix probability p_i and any
 partial sum S_n = p_1 + ... + p_n as an exact rational.  That closed-form
 requirement is what keeps truncation exact: the truncated distribution is
-(p_1/S_n, ..., p_n/S_n).
+(p_1/S_n, ..., p_n/S_n), and :func:`check_head_sum` confirms that a prefix
+really sums to S_n.
 
 The alpha view writes a distribution through its conditional tail ratios
 
@@ -24,12 +25,18 @@ from typing import Sequence
 from prefixcode.distributions import FiniteDistribution
 from prefixcode.errors import (
     AlphaOutOfRangeError,
+    NotNormalizedError,
     NotSortedError,
     OutOfRangeError,
     PrefixMassReachesOneError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import exact_fraction, rat_str
+from prefixcode.numutil import common_numerators, exact_fraction, rat_str
+
+# Largest truncation size coded: `analyze`/`delta --truncate` and the
+# `converge` sweep's n_max.  The shared denominator grows with n, so the
+# work grows faster than n.
+MAX_TRUNCATION = 4096
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,8 @@ class AlphaVector:
         return iter(self.alphas)
 
 
-def _coerce_alphas(alphas: AlphaVector | Sequence[Fraction]) -> tuple[Fraction, ...]:
+def coerce_alphas(alphas: AlphaVector | Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The validated ratios of an :class:`AlphaVector` or a plain sequence."""
     if isinstance(alphas, AlphaVector):
         return alphas.alphas
     return AlphaVector(tuple(alphas)).alphas
@@ -68,7 +76,7 @@ def _coerce_alphas(alphas: AlphaVector | Sequence[Fraction]) -> tuple[Fraction, 
 
 def from_alphas(alphas: AlphaVector | Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     """First n probabilities induced by the ratios (an unnormalized prefix)."""
-    avec = _coerce_alphas(alphas)
+    avec = coerce_alphas(alphas)
     if n < 1:
         raise OutOfRangeError(f"n must be positive, got {n}")
     if n > len(avec):
@@ -310,9 +318,25 @@ class ExplicitHead(SourceSpec):
         return f"head:[{head}]+geom:{self.ratio}"
 
 
+def check_head_sum(spec: SourceSpec, n: int, total: int, den: int) -> None:
+    """Raise :class:`NotNormalizedError` unless total/den is exactly S_n."""
+    sn = spec.head_sum(n)
+    if total * sn.denominator != sn.numerator * den:
+        raise NotNormalizedError(Fraction(total, den) / sn)
+
+
 def truncate(spec: SourceSpec, n: int) -> FiniteDistribution:
-    """Keep the first n symbols and renormalize by the exact partial sum."""
+    """Keep the first n symbols and renormalize by the exact partial sum.
+
+    The prefix's integer numerators over their own sum are the renormalized
+    distribution; that sum is then checked against S_n.
+    """
     if n < 2:
         raise OutOfRangeError(f"truncation needs n >= 2, got {n}")
-    sn = spec.head_sum(n)
-    return FiniteDistribution(tuple(p / sn for p in spec.prefix_probs(n)))
+    if n > MAX_TRUNCATION:
+        raise OutOfRangeError(f"truncation size {n} exceeds the limit {MAX_TRUNCATION}")
+    nums, den = common_numerators(spec.prefix_probs(n))
+    total = sum(nums)
+    dist = FiniteDistribution(tuple(Fraction(v, total) for v in nums))
+    check_head_sum(spec, n, total, den)
+    return dist

@@ -6,6 +6,7 @@ import pytest
 
 from prefixcode import (
     AlphaSequence,
+    AntiUniformVerdict,
     Geometric,
     alpha_criterion,
     alpha_pairwise_criterion,
@@ -20,10 +21,46 @@ from prefixcode import (
     verify_truncation_anti_uniform,
 )
 from prefixcode.errors import AlphaOutOfRangeError, NotSortedError, OutOfRangeError
-from randgen import random_alpha_vector, random_distribution
+from randgen import random_alpha_vector, random_distribution, tie_heavy_distribution
+
+
+def reference_check_finite(dist):
+    """The suffix-sum test on Fractions, as first written: a suffix array,
+    then p_{i+2} + ... + p_n against p_i for each i."""
+    probs = dist.probs
+    n = len(probs)
+    suffix = [F(0)] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + probs[j]
+    for i in range(1, n - 2):
+        tail = suffix[i + 1]
+        if tail > probs[i - 1]:
+            return AntiUniformVerdict(False, i, (tail, probs[i - 1]))
+    return AntiUniformVerdict(True)
+
+
+def check_finite_instances(rng):
+    for _ in range(60):
+        yield random_distribution(rng, rng.randint(2, 40))
+    for _ in range(60):
+        yield tie_heavy_distribution(rng, rng.randint(2, 40))
+    for _ in range(30):
+        vec = random_alpha_vector(rng, rng.randint(1, 5), lo_milli=300)
+        yield truncate(AlphaSequence(vec.alphas), rng.randint(2, 40))
+    for spec in (Geometric(F(1, 2)), Geometric(F(1, 4)), AlphaSequence((F(2, 5),))):
+        for n in (2, 3, 4, 5, 17, 64):
+            yield truncate(spec, n)
 
 
 class TestCheckFinite:
+    def test_matches_the_fraction_reference(self, rng):
+        verdicts = set()
+        for d in check_finite_instances(rng):
+            verdict = check_finite(d)
+            assert verdict == reference_check_finite(d)
+            verdicts.add(verdict.holds)
+        assert verdicts == {True, False}
+
     def test_dyadic_holds(self):
         d = validate([F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 16)])
         assert check_finite(d).holds
@@ -60,6 +97,8 @@ class TestCheckInfiniteTail:
     def test_depth_validation(self):
         with pytest.raises(OutOfRangeError):
             check_infinite_tail(Geometric(F(1, 2)), 0)
+        with pytest.raises(OutOfRangeError):
+            check_infinite_tail(Geometric(F(1, 2)), 4097)
 
 
 class TestAlphaCriteria:

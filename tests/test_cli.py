@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -142,6 +143,19 @@ def test_huge_out_of_range_rational_is_input_error(capsys, argv):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "geom:1/4", "--truncate", "4097"],
+    ["delta", "geom:1/4", "--truncate", "4097"],
+    ["anti-uniform", "alpha:[2/5]", "--depth", "4097"],
+    ["coverage-sum", "--terms", "513"],
+], ids=lambda argv: argv[0])
+def test_knob_past_its_cap_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lines", [
     "1/2\n1e-5000\n",  # NotNormalizedError
     "1e-5000\n1/2\n",  # NotSortedError
@@ -189,6 +203,10 @@ class TestOracle:
 
     def test_count_only(self, capsys, dist_file):
         report, _ = run_json(capsys, ["oracle", dist_file, "--count-only"])
+        assert report["results"]["universe_size"] == 2
+
+    def test_max_len_past_n_minus_one(self, capsys, dist_file):
+        report, _ = run_json(capsys, ["oracle", dist_file, "--count-only", "--max-len", "3000"])
         assert report["results"]["universe_size"] == 2
 
     def test_missing_file(self):

@@ -85,17 +85,24 @@ class TestTruncationSequence:
             estimate_optimal_lengths(spec, 1, n_max=40, window=8)
 
     def test_unsorted_prefix_is_rejected(self):
-        spec = _Unsorted(F(1, 4))
-        with pytest.raises(NotSortedError):
-            truncate(spec, 4)
-        with pytest.raises(NotSortedError):
-            truncation_sequence(spec, 2, 12)
+        # a denominator past the int-to-str digit limit must still render in
+        # the error message
+        for ratio in (F(1, 4), F(1, 10**4400)):
+            spec = _Unsorted(ratio)
+            with pytest.raises(NotSortedError):
+                truncate(spec, 4)
+            with pytest.raises(NotSortedError):
+                truncation_sequence(spec, 2, 12)
 
     def test_range_validation(self):
         with pytest.raises(OutOfRangeError):
             truncation_sequence(Geometric(F(1, 2)), 1, 8)
         with pytest.raises(OutOfRangeError):
             truncation_sequence(Geometric(F(1, 2)), 8, 4)
+        with pytest.raises(OutOfRangeError):
+            truncation_sequence(Geometric(F(1, 2)), 2, 4097)
+        with pytest.raises(OutOfRangeError):
+            truncate(Geometric(F(1, 2)), 4097)
 
 
 class TestDetectStabilization:

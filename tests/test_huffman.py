@@ -53,6 +53,22 @@ class TestMergeStep:
             merge_step(MergeState(2, (F(1),)))
 
 
+class TestMergeState:
+    def test_validation(self):
+        with pytest.raises(TooFewEntriesError):
+            MergeState(0, ())
+        with pytest.raises(NonPositiveEntryError):
+            MergeState(0, (F(1), F(0)))
+        with pytest.raises(NotSortedError):
+            MergeState(0, (F(1, 4), F(3, 4)))
+        with pytest.raises(NotNormalizedError):
+            MergeState(0, (F(1, 2), F(1, 4)))
+
+    def test_huge_denominator_renders_in_the_message(self):
+        with pytest.raises(NotSortedError, match="1" + "0" * 5000):
+            MergeState(0, (F(1, 10**5000), F(1, 2)))
+
+
 class TestHuffman:
     def test_dyadic_lengths(self):
         d = validate([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])

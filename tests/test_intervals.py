@@ -138,3 +138,5 @@ class TestCoverage:
     def test_terms_validation(self):
         with pytest.raises(OutOfRangeError):
             coverage_sum(0)
+        with pytest.raises(OutOfRangeError):
+            coverage_sum(513)

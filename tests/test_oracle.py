@@ -58,6 +58,10 @@ class TestEnumeration:
     def test_max_len_restricts(self):
         assert [tuple(v) for v in enumerate_kraft_tight(4, max_len=2)] == [(2, 2, 2, 2)]
 
+    def test_max_len_beyond_n_minus_one_changes_nothing(self):
+        for n in (4, 9):
+            assert count_kraft_tight(n, max_len=3000) == count_kraft_tight(n)
+
     def test_validation(self):
         with pytest.raises(UniverseTooLargeError):
             list(enumerate_kraft_tight(15))
