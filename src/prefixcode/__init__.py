@@ -1,6 +1,7 @@
 """prefixcode: exact-arithmetic laboratory for optimal prefix codes.
 
-Distributions are exact rationals throughout; Huffman merging follows one
+Distributions are integer weights over one exact denominator, with
+``Fraction`` only at the API and report boundary; Huffman merging follows one
 deterministic rule (merge the last two positions, insert before equals);
 every optimality claim can be certified against a brute-force enumeration
 of complete codes.
@@ -42,7 +43,6 @@ from prefixcode.huffman import (
     huffman,
     huffman_lengths,
     kraft_sum,
-    merge_step,
 )
 from prefixcode.intervals import (
     CoverageBounds,
@@ -117,7 +117,6 @@ __all__ = [
     "kraft_sum",
     "l1_lower_bound",
     "l1_via_delta",
-    "merge_step",
     "optimal_lengths",
     "to_alphas",
     "truncate",

@@ -56,7 +56,7 @@ def check_finite(dist: FiniteDistribution) -> AntiUniformVerdict:
         head += nums[i]
         tail = den - head
         if tail > nums[i - 1]:
-            return AntiUniformVerdict(False, i, (Fraction(tail, den), dist.probs[i - 1]))
+            return AntiUniformVerdict(False, i, (Fraction(tail, den), Fraction(nums[i - 1], den)))
     return AntiUniformVerdict(True)
 
 

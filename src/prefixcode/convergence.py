@@ -172,6 +172,10 @@ def estimate_optimal_lengths(
     """
     if depth < 1:
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
+    if not 2 <= n_max <= MAX_TRUNCATION:
+        raise OutOfRangeError(f"n_max must be in [2, {MAX_TRUNCATION}], got {n_max}")
+    if not 1 <= window <= n_max - 1:
+        raise OutOfRangeError(f"window must be in [1, {n_max - 1}], got {window}")
     if depth > n_max - window:
         raise OutOfRangeError(
             f"depth {depth} exceeds n_max - window = {n_max - window}"

@@ -21,9 +21,6 @@ from prefixcode.errors import OutOfRangeError, TrivialCaseError
 from prefixcode.huffman import MergeState
 from prefixcode.numutil import floor_log2, floor_neg_log2, rat_str
 
-_HALF = Fraction(1, 2)
-
-
 class DeltaKind(enum.Enum):
     TRIVIAL = "trivial"  # p1 >= 1/2: l1 = 1, no delta occasion exists
     ZERO = "zero"        # the two smallest already reach p1
@@ -51,11 +48,11 @@ class DeltaResult:
 
 def delta_occasion(dist: FiniteDistribution) -> DeltaResult:
     """Locate the delta occasion by running the standardized merges up to it."""
-    if dist.p1 >= _HALF:
-        return DeltaResult(DeltaKind.TRIVIAL, None, None)
     nums, den = dist.common_numerators()
+    if 2 * nums[0] >= den:  # p1 >= 1/2
+        return DeltaResult(DeltaKind.TRIVIAL, None, None)
     delta, vals = kernel.merge_until(nums, nums[0])
-    state = MergeState(delta, tuple(Fraction(v, den) for v in vals))
+    state = MergeState(delta, vals, den)
     return DeltaResult(DeltaKind.FOUND if delta else DeltaKind.ZERO, delta, state)
 
 

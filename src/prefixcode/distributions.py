@@ -1,11 +1,11 @@
-"""Finite probability distributions with exact rational entries.
+"""Finite probability distributions as integer weights over one denominator.
 
 A :class:`FiniteDistribution` is sorted non-increasing, strictly positive,
-and sums to exactly 1; every construction path validates all three, once,
-on integer numerators over the least common denominator
-(:func:`check_weights`).  Float
-inputs convert through their shortest decimal rendering (``0.4`` becomes
-2/5), never through their binary expansion.
+and sums to exactly 1; it stores integer weights over a shared denominator
+in lowest terms, validated once, at construction (:func:`check_weights`).
+Exact probabilities become weights only in :func:`validate` and
+:func:`counterexample`; float inputs convert through their shortest decimal
+rendering (``0.4`` becomes 2/5), never through their binary expansion.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from prefixcode.errors import (
@@ -49,46 +50,64 @@ def check_weights(vals: Sequence[int], den: int) -> None:
         raise NotNormalizedError(Fraction(total, den))
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Sorted probability vector p1 >= p2 >= ... >= pn > 0 with sum exactly 1."""
+class Weights:
+    """Base of records holding integer weights ``nums`` over ``den``: the
+    exact probabilities are a view, built on each access."""
 
-    probs: tuple[Fraction, ...]
+    def _store(self) -> None:
+        """Check the weights, then keep them in lowest terms; they are
+        rebuilt only when they share a factor with ``den``."""
+        nums, den = tuple(self.nums), self.den
+        check_weights(nums, den)
+        g = gcd(den, *nums)
+        if g > 1:
+            nums, den = tuple(v // g for v in nums), den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
+@dataclass(frozen=True)
+class FiniteDistribution(Weights):
+    """Sorted probability vector p1 >= p2 >= ... >= pn > 0 with sum exactly 1,
+    stored as integer weights ``nums`` over ``den`` in lowest terms."""
+
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        probs = tuple(exact_fraction(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if len(probs) < 2:
+        if len(self.nums) < 2:
             raise TooFewEntriesError("a distribution needs at least 2 symbols")
-        nums, den = common_numerators(probs)
-        check_weights(nums, den)
-        object.__setattr__(self, "_nums", tuple(nums))
-        object.__setattr__(self, "_den", den)
+        self._store()
 
     @property
     def n(self) -> int:
-        return len(self.probs)
+        return len(self.nums)
 
     @property
     def p1(self) -> Fraction:
-        return self.probs[0]
-
-    def __len__(self) -> int:
-        return len(self.probs)
+        return Fraction(self.nums[0], self.den)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.probs)
 
     def common_numerators(self) -> tuple[list[int], int]:
-        """Integer numerators over the least common denominator: computed
-        once, at construction, returned as a fresh list on every call."""
-        return list(self._nums), self._den
+        """The weights as a fresh list, and their denominator."""
+        return list(self.nums), self.den
 
 
 def validate(probs: Iterable[Fraction]) -> FiniteDistribution:
-    """Check sortedness, positivity, and exact normalization; return the
-    distribution unchanged if all hold."""
-    return FiniteDistribution(tuple(probs))
+    """Check sortedness, positivity, and exact normalization of exact
+    probabilities; return them as weights over their least common
+    denominator."""
+    return FiniteDistribution(*common_numerators([exact_fraction(p) for p in probs]))
 
 
 # The three perturbation families showing that outside the open intervals
@@ -117,4 +136,4 @@ def counterexample(family: int, epsilon: Fraction) -> FiniteDistribution:
         probs = (Fraction(1, 6) - e, _TWELFTH + e) + (_TWELFTH,) * 9
     else:
         raise ValueError(f"family must be 1, 2 or 3, got {family}")
-    return FiniteDistribution(probs)
+    return validate(probs)

@@ -32,8 +32,12 @@ def parse_rational(text: str) -> Fraction:
 
 def read_distribution_file(path: str | Path) -> FiniteDistribution:
     """Read one rational per line; '#' comments and blank lines allowed."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     probs = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from prefixcode import kernel
-from prefixcode.distributions import FiniteDistribution, check_weights
+from prefixcode.distributions import FiniteDistribution, Weights, check_weights
 from prefixcode.errors import (
     KraftViolationError,
     NonPositiveEntryError,
@@ -27,23 +27,20 @@ from prefixcode.errors import (
     SizeMismatchError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import common_numerators, rat_str
+from prefixcode.numutil import rat_str
 
 
 @dataclass(frozen=True)
-class MergeState:
-    """Probability state after m merges: non-increasing, total mass 1."""
+class MergeState(Weights):
+    """Weight list after m merges: non-increasing, summing to ``den``, stored
+    in lowest terms."""
 
     m: int
-    probs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        probs = tuple(Fraction(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        check_weights(*common_numerators(probs))
-
-    def __len__(self) -> int:
-        return len(self.probs)
+        self._store()
 
 
 class _Rendered(dict):
@@ -65,9 +62,9 @@ class MergeTrace:
     ``nums`` are the input weights over the shared denominator ``den``, and
     merge m placed the merged weight ``sums[m-1]`` at 1-based index
     ``ks[m-1]`` of the reduced state.  States are not stored: each view
-    regenerates them by replaying the record on one integer list, and checks
-    every state with :func:`~prefixcode.distributions.check_weights`, as
-    :class:`MergeState` does.
+    regenerates them by replaying the record on one integer list, and every
+    state is checked once by :func:`~prefixcode.distributions.check_weights`,
+    as a :class:`MergeState` is built or as its line is written.
     """
 
     nums: tuple[int, ...]
@@ -83,27 +80,22 @@ class MergeTrace:
             )
 
     def _replay(self) -> Iterator[list[int]]:
-        """The checked weight list at m = 0, 1, ..., n-1; one list, updated
-        in place between yields."""
+        """The weight list at m = 0, 1, ..., n-1, unchecked; one list,
+        updated in place between yields."""
         vals = list(self.nums)
-        check_weights(vals, self.den)
         yield vals
         for k, s in zip(self.ks, self.sums):
             del vals[-2:]
             if not 1 <= k <= len(vals) + 1:
                 raise NotSortedError(f"insertion index {k} outside [1, {len(vals) + 1}]")
             vals.insert(k - 1, s)
-            check_weights(vals, self.den)
             yield vals
 
     @property
     def states(self) -> tuple[MergeState, ...]:
         """Every state from m = 0 to m = n-1."""
         den = self.den
-        return tuple(
-            MergeState(m, tuple(Fraction(v, den) for v in vals))
-            for m, vals in enumerate(self._replay())
-        )
+        return tuple(MergeState(m, tuple(vals), den) for m, vals in enumerate(self._replay()))
 
     @property
     def insertions(self) -> tuple[tuple[int, int, Fraction], ...]:
@@ -117,10 +109,12 @@ class MergeTrace:
     def iter_json_lines(self) -> Iterator[str]:
         """One JSON record per merge step, rationals rendered as strings,
         produced one line at a time (the lines total O(n**2) characters)."""
-        rendered = _Rendered(self.den)
+        den = self.den
+        rendered = _Rendered(den)
         states = self._replay()
-        next(states)  # m = 0 has no record
+        check_weights(next(states), den)  # m = 0 has no record
         for m, (k, s, vals) in enumerate(zip(self.ks, self.sums, states), start=1):
+            check_weights(vals, den)
             state = ", ".join(map(rendered.__getitem__, vals))
             yield f'{{"m": {m}, "k": {k}, "merged": {rendered[s]}, "state": [{state}]}}'
 
@@ -168,25 +162,6 @@ class CodeBook:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.codewords)
-
-
-def merge_step(state: MergeState) -> tuple[MergeState, int]:
-    """One standardized merge; returns the new state and the 1-based
-    insertion index of the merged mass."""
-    probs = state.probs
-    if len(probs) < 2:
-        raise TooFewEntriesError("need at least two entries to merge")
-    s = probs[-1] + probs[-2]
-    rest = list(probs[:-2])
-    lo, hi = 0, len(rest)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rest[mid] <= s:
-            hi = mid
-        else:
-            lo = mid + 1
-    rest.insert(lo, s)
-    return MergeState(state.m + 1, tuple(rest)), lo + 1
 
 
 def huffman_lengths(dist: FiniteDistribution) -> LengthVector:

@@ -337,6 +337,6 @@ def truncate(spec: SourceSpec, n: int) -> FiniteDistribution:
         raise OutOfRangeError(f"truncation size {n} exceeds the limit {MAX_TRUNCATION}")
     nums, den = common_numerators(spec.prefix_probs(n))
     total = sum(nums)
-    dist = FiniteDistribution(tuple(Fraction(v, total) for v in nums))
+    dist = FiniteDistribution(nums, total)
     check_head_sum(spec, n, total, den)
     return dist

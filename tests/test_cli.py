@@ -156,6 +156,33 @@ def test_knob_past_its_cap_exits_2_at_once(capsys, argv):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["converge", "--spec", "geom:1/4", "--depth", "1", "--nmax", "4096", "--window", "0"],
+     "window"),
+    (["converge", "--spec", "geom:1/4", "--depth", "1", "--nmax", "1"], "n_max"),
+    (["converge", "--spec", "geom:1/4", "--depth", "1", "--nmax", "4097"], "n_max"),
+], ids=["window-0", "nmax-1", "nmax-4097"])
+def test_converge_range_exits_2_before_the_sweep(capsys, argv, name):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"error: {name} must be in")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "file:{}"],
+    ["oracle", "{}"],
+    ["anti-uniform", "file:{}"],
+], ids=lambda argv: argv[0])
+def test_non_utf8_file_is_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "dist.txt"
+    path.write_bytes(b"\xff1/2\n1/2\n")
+    assert run([arg.format(path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("lines", [
     "1/2\n1e-5000\n",  # NotNormalizedError
     "1e-5000\n1/2\n",  # NotSortedError

@@ -1,12 +1,27 @@
 """Construction and validation of exact finite distributions."""
 
+import importlib
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prefixcode import counterexample, distributions, validate
+from prefixcode import (
+    AlphaSequence,
+    FiniteDistribution,
+    Geometric,
+    MergeState,
+    check_finite,
+    counterexample,
+    delta_occasion,
+    distributions,
+    huffman,
+    truncate,
+    validate,
+)
+from prefixcode.numutil import common_numerators
 from prefixcode.errors import (
     EpsilonOutOfRangeError,
     NonPositiveEntryError,
@@ -119,3 +134,62 @@ class TestCounterexamples:
                 d = counterexample(family, eps)
                 assert sum(d.probs) == 1
                 assert d.p1 == d.probs[0]
+
+
+class TestIntegerRepresentation:
+    def test_integer_constructor_stores_lowest_terms(self):
+        d = FiniteDistribution((4, 2, 2), 8)
+        assert (d.nums, d.den) == ((2, 1, 1), 4)
+        assert d == validate([F(1, 2), F(1, 4), F(1, 4)])
+        assert d.probs == (F(1, 2), F(1, 4), F(1, 4)) and d.p1 == F(1, 2)
+
+    def test_integer_constructor_validates(self):
+        with pytest.raises(TooFewEntriesError):
+            FiniteDistribution((1,), 1)
+        with pytest.raises(NonPositiveEntryError):
+            FiniteDistribution((2, 0), 2)
+        with pytest.raises(NotSortedError):
+            FiniteDistribution((1, 2), 3)
+        with pytest.raises(NotNormalizedError):
+            FiniteDistribution((2, 1), 4)
+
+    @pytest.mark.parametrize("spec", [Geometric(F(2, 5)), AlphaSequence((F(2, 5),))],
+                             ids=["geom", "alpha"])
+    def test_truncation_equals_its_validated_probabilities(self, spec):
+        for n in (2, 3, 10, 64):
+            nums, den = common_numerators(spec.prefix_probs(n))
+            # the prefix over its own sum is not in lowest terms
+            assert gcd(sum(nums), *nums) == 2
+            d = truncate(spec, n)
+            ref = validate(d.probs)
+            assert d == ref and hash(d) == hash(ref)
+            assert (d.nums, d.den) == (ref.nums, ref.den)
+            assert gcd(d.den, *d.nums) == 1
+
+    def test_truncation_analysis_builds_no_fraction_per_entry(self, monkeypatch):
+        # truncate, delta_occasion, check_finite and the trace states work
+        # on the weights: neither probs view is built, and a Fraction is
+        # made per entry by none of them (check_finite makes its witness)
+        def unbuilt(self):
+            raise AssertionError("probs built")
+
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(FiniteDistribution, "probs", property(unbuilt))
+        monkeypatch.setattr(MergeState, "probs", property(unbuilt))
+        for name in ("sources", "distributions", "huffman", "delta", "antiuniform"):
+            monkeypatch.setattr(importlib.import_module(f"prefixcode.{name}"), "Fraction", counting)
+        for spec, holds in ((Geometric(F(1, 4)), False), (AlphaSequence((F(2, 5),)), True)):
+            d = truncate(spec, 200)
+            assert all(args == (1,) for args in built)  # the alpha residual's start
+            built.clear()
+            assert delta_occasion(d).state.m > 0
+            assert check_finite(d).holds is holds
+            assert len(built) == 2 * (not holds)  # the witness pair
+            built.clear()
+            assert len(huffman(d)[1].states) == 200
+            assert built == []

@@ -17,7 +17,6 @@ from prefixcode import (
     huffman,
     huffman_lengths,
     kraft_sum,
-    merge_step,
     truncate,
     validate,
 )
@@ -30,43 +29,50 @@ from prefixcode.errors import (
     TooFewEntriesError,
 )
 from randgen import near_uniform_distribution, random_distribution, tie_heavy_distribution
+from test_kernel import merge_step
 
 
 class TestMergeStep:
     def test_insert_between(self):
-        state, k = merge_step(MergeState(0, (F(2, 5), F(3, 10), F(1, 5), F(1, 10))))
+        state, k = merge_step(MergeState(0, (4, 3, 2, 1), 10))
         assert state.probs == (F(2, 5), F(3, 10), F(3, 10))
         assert (state.m, k) == (1, 2)
 
     def test_tie_with_maximum_goes_first(self):
-        state, k = merge_step(MergeState(0, (F(1, 2), F(1, 4), F(1, 4))))
+        state, k = merge_step(MergeState(0, (2, 1, 1), 4))
         assert state.probs == (F(1, 2), F(1, 2))
         assert k == 1
 
     def test_uniform_thirds(self):
-        state, k = merge_step(MergeState(0, (F(1, 3), F(1, 3), F(1, 3))))
+        state, k = merge_step(MergeState(0, (1, 1, 1), 3))
         assert state.probs == (F(2, 3), F(1, 3))
         assert k == 1
 
     def test_too_few(self):
         with pytest.raises(TooFewEntriesError):
-            merge_step(MergeState(2, (F(1),)))
+            merge_step(MergeState(2, (1,), 1))
 
 
 class TestMergeState:
     def test_validation(self):
         with pytest.raises(TooFewEntriesError):
-            MergeState(0, ())
+            MergeState(0, (), 1)
         with pytest.raises(NonPositiveEntryError):
-            MergeState(0, (F(1), F(0)))
+            MergeState(0, (1, 0), 1)
         with pytest.raises(NotSortedError):
-            MergeState(0, (F(1, 4), F(3, 4)))
+            MergeState(0, (1, 3), 4)
         with pytest.raises(NotNormalizedError):
-            MergeState(0, (F(1, 2), F(1, 4)))
+            MergeState(0, (2, 1), 4)
 
     def test_huge_denominator_renders_in_the_message(self):
         with pytest.raises(NotSortedError, match="1" + "0" * 5000):
-            MergeState(0, (F(1, 10**5000), F(1, 2)))
+            MergeState(0, (1, 5 * 10**4999), 10**5000)
+
+    def test_stored_in_lowest_terms(self):
+        state = MergeState(3, (4, 2, 2), 8)
+        assert (state.m, state.nums, state.den) == (3, (2, 1, 1), 4)
+        assert state == MergeState(3, (2, 1, 1), 4)
+        assert state.probs == (F(1, 2), F(1, 4), F(1, 4)) and len(state) == 3
 
 
 class TestHuffman:
@@ -206,10 +212,10 @@ class TestLengthVector:
 
 
 def reference_trace_lines(d):
-    """The trace as it was first written: every state a checked
-    ``MergeState`` of Fractions from ``merge_step``, each record through
+    """The trace as it was first written: every state from the ``Fraction``
+    loop ``merge_step``, checked as a ``MergeState``, each record through
     ``json.dumps``."""
-    state = MergeState(0, d.probs)
+    state = MergeState(0, d.nums, d.den)
     lines = []
     for m in range(1, d.n):
         state, k = merge_step(state)
@@ -247,7 +253,7 @@ class TestTraceRecord:
         for d in trace_instances(rng):
             _, trace = huffman(d)
             states = trace.states
-            assert states[0] == MergeState(0, d.probs)
+            assert states[0] == MergeState(0, d.nums, d.den)
             for m in range(1, d.n):
                 expected, k = merge_step(states[m - 1])
                 assert states[m] == expected

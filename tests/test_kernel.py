@@ -7,7 +7,8 @@ from itertools import islice
 import pytest
 
 from prefixcode import Geometric, kernel
-from prefixcode.huffman import MergeState, merge_step
+from prefixcode.errors import TooFewEntriesError
+from prefixcode.huffman import MergeState
 from prefixcode.numutil import common_numerators
 
 
@@ -47,6 +48,26 @@ def reference_merges(nums):
     for node in range(2 * n - 3, -1, -1):
         depths[node] = depths[parents[node]] + 1
     return depths[:n], ks, sums, parents, states
+
+
+def merge_step(state):
+    """One standardized merge on exact probabilities, the ``Fraction`` loop
+    the library first ran; returns the new state and the 1-based insertion
+    index of the merged mass."""
+    probs = state.probs
+    if len(probs) < 2:
+        raise TooFewEntriesError("need at least two entries to merge")
+    s = probs[-1] + probs[-2]
+    rest = list(probs[:-2])
+    lo, hi = 0, len(rest)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if rest[mid] <= s:
+            hi = mid
+        else:
+            lo = mid + 1
+    rest.insert(lo, s)
+    return MergeState(state.m + 1, *common_numerators(rest)), lo + 1
 
 
 def reference_run(nums):
@@ -202,11 +223,12 @@ def test_kernel_equals_reference_on_geometric_prefixes():
 
 
 def test_reference_equals_fraction_merge_step(rng):
-    # the integer reference against huffman.merge_step on exact probabilities
+    # the integer reference against the Fraction merge_step on exact
+    # probabilities
     for nums in islice(differential_inputs(rng), 100):
         den = sum(nums)
         _, ks, _, _, states = reference_merges(nums)
-        state = MergeState(0, tuple(Fraction(v, den) for v in nums))
+        state = MergeState(0, nums, den)
         for k, expected in zip(ks, states):
             state, step_k = merge_step(state)
             assert step_k == k
