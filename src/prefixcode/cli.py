@@ -6,13 +6,15 @@ Every subcommand prints one JSON report to stdout:
 
 Rationals are serialized as exact "a/b" strings; decimal renderings are
 explicitly labeled and always accompany an exact value.  Exit codes: 0 on
-success, 2 on input errors, 1 on internal invariant failure.
+success, 2 on input errors, 1 on internal invariant failure or when the
+reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -39,7 +41,7 @@ from prefixcode.huffman import (
     kraft_sum,
 )
 from prefixcode.intervals import L1Interval, classify_l1, coverage_sum
-from prefixcode.numutil import decimal_ceil, decimal_floor, decimal_str, rat_str
+from prefixcode.numutil import decimal_ceil, decimal_floor, decimal_str, rat_str, weight_strs
 from prefixcode.oracle import count_kraft_tight, optimal_lengths
 from prefixcode.sources import SourceSpec, truncate
 
@@ -87,7 +89,7 @@ def _delta_payload(dist: FiniteDistribution) -> dict:
         payload["note"] = "p1 >= 1/2 forces a one-bit top codeword"
     else:
         payload["delta"] = result.delta
-        payload["state"] = [rat_str(p) for p in result.state.probs]
+        payload["state"] = weight_strs(result.state.nums, result.state.den)
         payload["l1_floor_log2"] = result.l1
     return payload
 
@@ -113,7 +115,7 @@ def _analysis_payload(dist: FiniteDistribution, lengths: LengthVector) -> dict:
     verdict = check_finite(dist)
     payload = {
         "n": dist.n,
-        "probs": [rat_str(p) for p in dist.probs],
+        "probs": weight_strs(dist.nums, dist.den),
         "lengths": list(lengths),
         "codewords": list(canonical_codebook(lengths)),
         "expected_length": rat_str(expected_length(dist, lengths)),
@@ -228,7 +230,7 @@ def _cmd_counterexample(args) -> tuple[dict, dict]:
     epsilon = parse_rational(args.epsilon)
     dist = counterexample(args.family, epsilon)
     inputs = {"family": args.family, "epsilon": rat_str(epsilon)}
-    results: dict = {"probs": [rat_str(p) for p in dist.probs]}
+    results: dict = {"probs": weight_strs(dist.nums, dist.den)}
     if args.analyze or args.trace:
         lengths, trace = _code(dist, bool(args.trace))
         if args.analyze:
@@ -345,7 +347,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 A :class:`FiniteDistribution` is sorted non-increasing, strictly positive,
 and sums to exactly 1; it stores integer weights over a shared denominator
 in lowest terms, validated once, at construction (:func:`check_weights`).
-Exact probabilities become weights only in :func:`validate` and
-:func:`counterexample`; float inputs convert through their shortest decimal
-rendering (``0.4`` becomes 2/5), never through their binary expansion.
+Exact probabilities become weights only in :func:`validate`,
+:func:`counterexample` and the distribution-file reader; float inputs convert
+through their shortest decimal rendering (``0.4`` becomes 2/5), never through
+their binary expansion.
 """
 
 from __future__ import annotations

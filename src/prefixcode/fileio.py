@@ -1,8 +1,8 @@
 """Distribution files and source literals.
 
-File format: UTF-8 text, one rational per line, either "a/b" or a decimal
-literal (parsed exactly, so 0.4 means 2/5); lines starting with '#' and
-blank lines are ignored.
+File format: UTF-8 text (a leading byte-order mark is skipped), one rational
+per line, either "a/b" or a decimal literal (parsed exactly, so 0.4 means
+2/5); lines starting with '#' and blank lines are ignored.
 
 Source literals: "geom:a/b", "alpha:[a/b,c/d,...]" (a finite list; the last
 ratio repeats forever), or "file:PATH" for a finite distribution.
@@ -10,10 +10,12 @@ ratio repeats forever), or "file:PATH" for a finite distribution.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
-from prefixcode.distributions import FiniteDistribution, validate
+from prefixcode.distributions import FiniteDistribution
 from prefixcode.errors import PrefixCodeError
 from prefixcode.sources import AlphaSequence, Geometric, SourceSpec
 
@@ -31,21 +33,38 @@ def parse_rational(text: str) -> Fraction:
 
 
 def read_distribution_file(path: str | Path) -> FiniteDistribution:
-    """Read one rational per line; '#' comments and blank lines allowed."""
+    """Read one rational per line; '#' comments and blank lines allowed.
+
+    A line of ASCII digits "a/b" with b nonzero is split into integers
+    directly; every other line goes through :func:`parse_rational`.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    probs = []
+    digits = sys.get_int_max_str_digits() or len(text)
+    nums, dens = [], []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        a, _, b = line.partition("/")
+        # ASCII digits over a nonzero denominator, too short for int() to
+        # reach the int-to-str digit limit
+        if (line.isascii() and a.isdigit() and b.isdigit() and b.strip("0")
+                and len(line) <= digits):
+            nums.append(int(a))
+            dens.append(int(b))
+            continue
         try:
-            probs.append(parse_rational(line))
+            x = parse_rational(line)
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-    return validate(probs)
+        nums.append(x.numerator)
+        dens.append(x.denominator)
+    den = lcm(*dens)
+    return FiniteDistribution(
+        [v if d == den else v * (den // d) for v, d in zip(nums, dens)], den)
 
 
 def parse_source(text: str) -> FiniteDistribution | SourceSpec:

@@ -27,7 +27,7 @@ from prefixcode.errors import (
     SizeMismatchError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import rat_str
+from prefixcode.numutil import weight_strs
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,6 @@ class MergeState(Weights):
 
     def __post_init__(self):
         self._store()
-
-
-class _Rendered(dict):
-    """JSON string of each weight's exact value over `den`, rendered once."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, v: int) -> str:
-        text = self[v] = '"' + rat_str(Fraction(v, self.den)) + '"'
-        return text
 
 
 @dataclass(frozen=True)
@@ -110,9 +98,11 @@ class MergeTrace:
         """One JSON record per merge step, rationals rendered as strings,
         produced one line at a time (the lines total O(n**2) characters)."""
         den = self.den
-        rendered = _Rendered(den)
         states = self._replay()
         check_weights(next(states), den)  # m = 0 has no record
+        # every state entry is an input weight or a merged one
+        values = tuple(set(self.nums).union(self.sums))
+        rendered = {v: f'"{text}"' for v, text in zip(values, weight_strs(values, den))}
         for m, (k, s, vals) in enumerate(zip(self.ks, self.sums, states), start=1):
             check_weights(vals, den)
             state = ", ".join(map(rendered.__getitem__, vals))

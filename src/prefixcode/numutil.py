@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from prefixcode.errors import OutOfRangeError
@@ -20,27 +20,49 @@ def exact_fraction(value) -> Fraction:
     Floats convert through their shortest decimal rendering (0.4 becomes
     2/5), never through their binary expansion.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         return Fraction(repr(value))
     return Fraction(value)
 
 
 def rat_str(x) -> str:
-    """Exact "a/b" rendering of a rational of any size.
+    """Exact "a/b" rendering of a rational of any size (see
+    :func:`weight_strs`)."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return weight_strs((x.numerator,), x.denominator)[0]
+
+
+def weight_strs(nums: Sequence[int], den: int) -> list[str]:
+    """Exact rendering of each weight v/den, for ``den > 0``: the string of
+    ``Fraction(v, den)``, built from gcd, ``//`` and ``str`` alone, with each
+    distinct reduced denominator rendered once.
 
     ``str`` fails on an integer with more digits than the interpreter's
     int-to-str limit (4300 by default), which valid inputs can reach; only
-    then is the limit lifted, for this render alone.
+    then is the limit lifted, once for the whole list.
     """
-    x = Fraction(x)
-    try:
-        return str(x)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    top = max([den, *map(abs, nums)])
+    # 2**(3 * limit) < 10**limit: the bit length rules out most lists at once
+    lift = limit and top.bit_length() > 3 * limit and top >= 10**limit
+    if lift:
         sys.set_int_max_str_digits(0)
-        try:
-            return str(x)
-        finally:
+    try:
+        suffixes = {1: ""}
+        out = []
+        for v in nums:
+            g = gcd(v, den)
+            d = den // g
+            suffix = suffixes.get(d)
+            if suffix is None:
+                suffix = suffixes[d] = "/" + str(d)
+            out.append(str(v // g) + suffix)
+        return out
+    finally:
+        if lift:
             sys.set_int_max_str_digits(limit)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,27 @@ def test_non_utf8_file_is_input_error(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: not UTF-8 text")
     assert "Traceback" not in err
+
+
+def test_byte_order_mark_is_skipped(capsys, tmp_path, dist_file):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(dist_file).read_bytes())
+    report, _ = run_json(capsys, ["analyze", f"file:{path}"])
+    plain, _ = run_json(capsys, ["analyze", f"file:{dist_file}"])
+    assert report["results"] == plain["results"]
+    assert report["results"]["probs"] == ["2/5", "3/10", "1/5", "1/10"]
+
+
+def test_closed_stdout_exits_1_without_a_traceback(dist_file):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prefixcode.cli", "delta", f"file:{dist_file}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("lines", [

@@ -1,0 +1,154 @@
+"""Distribution files: the integer reader against the Fraction reference."""
+
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from prefixcode import validate
+from prefixcode.errors import (
+    NonPositiveEntryError,
+    NotNormalizedError,
+    NotSortedError,
+    PrefixCodeError,
+    TooFewEntriesError,
+)
+from prefixcode.fileio import ParseError, parse_rational, read_distribution_file
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def reference_read(path):
+    """The reader as it was before the integer path: one ``Fraction`` per
+    line through ``parse_rational``, then ``validate``."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    probs = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            probs.append(parse_rational(line))
+        except ParseError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    return validate(probs)
+
+
+def _decimal(v: int, total: int) -> str:
+    """Exact decimal of v/total < 1, for total dividing a power of 10."""
+    places = 0
+    while 10**places % total:
+        places += 1
+    return f"0.{v * (10**places // total):0{places}d}"
+
+
+def _render(rng, v: int, total: int) -> str:
+    """One way of writing v/total that the file format accepts."""
+    style = rng.randrange(8)
+    if style == 0:  # unreduced a/b
+        k = rng.randint(2, 9)
+        return f"{k * v}/{k * total}"
+    if style == 1:
+        return f"+{v}/{total}"
+    if style == 2:  # digit groups
+        return "_".join(str(v)) + "/" + str(total)
+    if style == 3:
+        return _decimal(v, total)
+    if style == 4:  # exponent
+        digits = _decimal(v, total)[2:]
+        return f"{int(digits)}e-{len(digits)}"
+    if style == 5:
+        return f"{v}/{total}".translate(ARABIC_INDIC)
+    return f"{v}/{total}"
+
+
+def random_file(rng, n: int) -> str:
+    """A valid file over a denominator dividing a power of 10, mixing every
+    accepted form of a line with padding, comments, blank lines and CRLF."""
+    total = rng.choice((10, 40, 80, 200, 1000, 1250, 10**6))
+    cuts = sorted(rng.sample(range(1, total), n - 1))
+    weights = sorted((b - a for a, b in zip([0] + cuts, cuts + [total])), reverse=True)
+    lines = ["\ufeff# byte-order mark"] if rng.random() < 0.2 else []
+    pads = ("", " ", "  ", "\t")
+    for v in weights:
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "   ", "# a comment", "\t")))
+        lines.append(rng.choice(pads) + _render(rng, v, total) + rng.choice(pads))
+    newline = rng.choice(("\n", "\r\n"))
+    return newline.join(lines) + rng.choice(("", newline))
+
+
+def test_reader_equals_the_reference_on_random_files(rng, tmp_path):
+    path = tmp_path / "dist.txt"
+    for _ in range(300):
+        path.write_text(random_file(rng, rng.randint(2, 9)), encoding="utf-8", newline="")
+        got, want = read_distribution_file(path), reference_read(path)
+        assert got == want
+        assert (got.nums, got.den) == (want.nums, want.den)
+        assert hash(got) == hash(want)
+
+
+def test_unreduced_lines_over_different_denominators(tmp_path):
+    path = tmp_path / "dist.txt"
+    path.write_text("2/4\n3/12\n50/200\n", encoding="utf-8")
+    dist = read_distribution_file(path)
+    assert (dist.nums, dist.den) == ((2, 1, 1), 4)
+    assert dist == reference_read(path)
+
+
+@pytest.mark.parametrize("text, error, lineno", [
+    ("1/2\n1/0\n", ParseError, 2),
+    ("1/2\n5 / 3\n", ParseError, 2),
+    ("abc\n", ParseError, 1),
+    ("1/2\n\n#\n1/2/3\n", ParseError, 4),
+    ("1/2\n\u00b2/4\n", ParseError, 2),  # a digit that int() rejects
+    ("1/2\n-1/4\n3/4\n", NonPositiveEntryError, None),
+    ("1/2\n0/3\n1/2\n", NonPositiveEntryError, None),
+    ("1/4\n3/4\n", NotSortedError, None),
+    ("1\n1\n", NotNormalizedError, None),
+    ("1/2\n1/4\n", NotNormalizedError, None),
+    ("1/1\n", TooFewEntriesError, None),
+    ("# nothing\n", TooFewEntriesError, None),
+], ids=["zero-den", "spaces", "abc", "two-slashes", "superscript", "negative", "zero", "unsorted",
+        "integers", "not-normalized", "one-entry", "empty"])
+def test_bad_file_raises_what_the_reference_raises(tmp_path, text, error, lineno):
+    path = tmp_path / "dist.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PrefixCodeError) as want:
+        reference_read(path)
+    with pytest.raises(PrefixCodeError) as got:
+        read_distribution_file(path)
+    assert type(got.value) is type(want.value) is error
+    assert str(got.value) == str(want.value)
+    if lineno is not None:
+        assert str(got.value).startswith(f"{path}:{lineno}: cannot parse rational")
+
+
+def test_line_past_the_digit_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "dist.txt"
+    path.write_text("1/2\n1/" + "2" * 5000 + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as want:
+        reference_read(path)
+    with pytest.raises(ParseError) as got:
+        read_distribution_file(path)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{path}:2: cannot parse rational")
+
+
+def test_digit_lines_build_no_fraction(rng, tmp_path, monkeypatch):
+    weights = sorted((rng.randint(1, 10**6) for _ in range(4096)), reverse=True)
+    total = sum(weights)
+    path = tmp_path / "dist.txt"
+    path.write_text("".join(f"{w}/{total}\n" for w in weights), encoding="utf-8")
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    dist = read_distribution_file(path)
+    assert built == []
+    monkeypatch.undo()
+    assert dist == reference_read(path)

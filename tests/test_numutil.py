@@ -1,0 +1,100 @@
+"""Exact renderings: ``weight_strs`` and ``rat_str`` against ``str(Fraction)``."""
+
+import json
+import sys
+from contextlib import contextmanager
+from fractions import Fraction as F
+
+from prefixcode import Geometric, truncate
+from prefixcode.cli import run
+from prefixcode.numutil import exact_fraction, rat_str, weight_strs
+from test_huffman import reference_trace_lines
+
+
+@contextmanager
+def digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def reference(nums, den):
+    with digit_limit(0):
+        return [str(F(v, den)) for v in nums]
+
+
+def test_random_weights(rng):
+    for _ in range(300):
+        # a denominator with many divisors, so that weights reduce often
+        den = rng.randint(1, 10**rng.randint(1, 12)) * rng.choice((1, 720, 2**20))
+        nums = [rng.randint(0, 4 * den) for _ in range(rng.randint(1, 10))]
+        nums += [rng.randint(1, 40) * rng.choice((1, 2, 3, 4, 5, 6, den)) for _ in range(10)]
+        nums += [0, den, -den, -rng.randint(1, den)]
+        rng.shuffle(nums)
+        assert weight_strs(nums, den) == reference(nums, den)
+    assert weight_strs([], 7) == []
+
+
+def test_values_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    den = 10**5000 + 3
+    nums = [1, den - 1, 10**4999, 7 * den, 3 * den + 1]
+    got = weight_strs(nums, den)
+    assert got == reference(nums, den)
+    assert len(got[1]) > 2 * 5000 and got[3] == "7"
+    assert sys.get_int_max_str_digits() == limit
+    nums = [2**19999, 3, 2**20000]  # 1/2 and 1 reduce to short strings
+    assert weight_strs(nums, 2**20000) == reference(nums, 2**20000)
+    assert rat_str(F(1, den)) == reference([1], den)[0]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_limit_is_lifted_once_per_list_and_only_when_needed(monkeypatch):
+    calls = []
+    with digit_limit(4300):
+        monkeypatch.setattr(sys, "set_int_max_str_digits", calls.append)
+        weight_strs([1, 2, 3], 10**4300 - 1)  # 4300 digits: at the limit
+        monkeypatch.undo()
+    assert calls == []
+    with digit_limit(640):
+        den = 10**700 + 1
+        nums = [den - 1, 5, 10**699]
+        assert weight_strs(nums, den) == reference(nums, den)
+        assert sys.get_int_max_str_digits() == 640
+        calls = []
+        setter = sys.set_int_max_str_digits
+
+        def recording(limit):
+            calls.append(limit)
+            setter(limit)
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", recording)
+        weight_strs(nums, den)
+        monkeypatch.undo()
+        assert calls == [0, 640]
+
+
+def test_trace_file_renders_as_fractions(capsys, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    assert run(["analyze", "geom:1/4", "--truncate", "300", "--trace", str(path)]) == 0
+    probs = json.loads(capsys.readouterr().out)["results"]["probs"]
+    dist = truncate(Geometric(F(1, 4)), 300)
+    assert probs == [str(p) for p in dist.probs]
+    assert path.read_text(encoding="utf-8").splitlines() == reference_trace_lines(dist)
+
+
+def test_fraction_input_builds_no_fraction(monkeypatch):
+    x = F(-3, 7)
+
+    def fail(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(F, "__new__", fail)
+    assert exact_fraction(x) is x
+    assert rat_str(x) == "-3/7"
+    monkeypatch.undo()
+    assert [rat_str(v) for v in (3, "0.4", 0.5, F(6, 4))] == ["3", "2/5", "1/2", "3/2"]
+    assert exact_fraction(0.4) == F(2, 5)
