@@ -23,8 +23,8 @@ from prefixcode.errors import OutOfRangeError, SymbolOutOfRangeError
 # huffman_lengths stays importable from this module: perfbench's tracer
 # tests rebind it under this name
 from prefixcode.huffman import LengthVector, huffman_lengths  # noqa: F401
-from prefixcode.intervals import classify_l1_infinite
-from prefixcode.numutil import common_numerators
+from prefixcode.intervals import classify_l1, classify_l1_infinite
+from prefixcode.numutil import common_numerators, rat_str
 from prefixcode.sources import MAX_TRUNCATION, SourceSpec, check_head_sum
 
 DEFAULT_WINDOW = 32
@@ -34,15 +34,21 @@ CERTIFIED = "CERTIFIED"
 EMPIRICAL = "EMPIRICAL"
 
 
-def _sweep(spec: SourceSpec, n_min: int, n_max: int) -> Iterator[list[int]]:
-    """Huffman lengths of the truncations n = n_min..n_max, in order.
+def _sweep(
+    spec: SourceSpec, n_min: int, n_max: int, depth: int | None = None
+) -> Iterator[list[int]]:
+    """Huffman lengths of the truncations n = n_min..n_max, in order; with
+    `depth`, only the lengths of symbols 1..depth.
 
     Merging is scale-invariant, so truncation n codes the integer prefix
     ``nums[:n]`` of the n_max prefix over one shared denominator instead of
     renormalizing by S_n; the lengths equal those of ``truncate(spec, n)``.
     The checks a truncated distribution makes still hold: positivity and
     sortedness of the n_max prefix (every shorter prefix inherits them), and
-    an exact partial sum S_n for every n.
+    an exact partial sum S_n for every n.  S_n is 1 minus the product of
+    (1 - alpha_j) over j <= n, which the alpha cover gives as one integer
+    fraction, a small factor per n; the family's own closed form
+    (:func:`check_head_sum`) is consulted at n_max and on any mismatch.
     """
     if not 2 <= n_min <= n_max <= MAX_TRUNCATION:
         raise OutOfRangeError(
@@ -50,11 +56,29 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int) -> Iterator[list[int]]:
         )
     nums, den = common_numerators(spec.prefix_probs(n_max))
     check_weights(nums, sum(nums))
-    total = sum(nums[: n_min - 1])
-    for n in range(n_min, n_max + 1):
+    cover = spec.alphas_cover().alphas
+    factors = [(a.denominator - a.numerator, a.denominator) for a in cover]
+    rest = scale = 1  # 1 - S_n = rest / scale
+    total = 0  # S_n = total / den
+    for n in range(1, n_max + 1):
+        f_rest, f_scale = factors[min(n, len(factors)) - 1]
+        rest *= f_rest
+        scale *= f_scale
         total += nums[n - 1]
-        check_head_sum(spec, n, total, den)
-        yield kernel.run_merges(nums[:n])[0]
+        if n < n_min:
+            continue
+        exact = total * scale == (scale - rest) * den
+        if not exact or n == n_max:
+            check_head_sum(spec, n, total, den)
+            if not exact:
+                raise RuntimeError(
+                    f"{spec.literal()}: the alpha cover disagrees with S_{n}"
+                )
+        prefix = nums[:n]
+        if depth is None:
+            yield kernel.run_merges(prefix)[0]
+        else:
+            yield kernel.leading_depths(prefix, depth)
 
 
 def truncation_sequence(spec: SourceSpec, n_min: int, n_max: int) -> list[LengthVector]:
@@ -157,6 +181,26 @@ def csv_rows(seq: Sequence[Sequence[int]], depth: int, n_min: int = 2) -> list[l
     return rows
 
 
+def _check_window_top(spec: SourceSpec, stab: Stabilization, k: int) -> None:
+    """Raise :class:`OutOfRangeError` if a window truncation's own top
+    probability p1/S_n does not classify to the certified l_1 = k.
+
+    The interval theorem pins l_1 = k for a truncation only when its own
+    p1/S_n lies in the k-th interval; a window of small n can fall outside
+    it, so an observed l_1 != k there contradicts nothing.
+    """
+    p1 = spec.prob(1)
+    for n, _ in stab.observed:
+        top = p1 / spec.head_sum(n)
+        if classify_l1(top).k != k:
+            first, last = stab.observed[0][0], stab.observed[-1][0]
+            raise OutOfRangeError(
+                f"window n = {first}..{last} is too early: truncation n = {n} has "
+                f"top probability {rat_str(top)}, outside the interval that "
+                f"certifies l_1 = {k}; raise --nmax"
+            )
+
+
 def estimate_optimal_lengths(
     spec: SourceSpec,
     depth: int,
@@ -180,8 +224,8 @@ def estimate_optimal_lengths(
         raise OutOfRangeError(
             f"depth {depth} exceeds n_max - window = {n_max - window}"
         )
-    # only symbols 1..depth are reported, so keep only their lengths
-    seq = tuple(tuple(lengths[:depth]) for lengths in _sweep(spec, 2, n_max))
+    # only symbols 1..depth are reported, so only their lengths are coded
+    seq = tuple(tuple(lengths) for lengths in _sweep(spec, 2, n_max, depth))
 
     classification = classify_l1_infinite(spec)
     skewed = alpha_criterion(spec.alphas_cover())
@@ -202,6 +246,8 @@ def estimate_optimal_lengths(
             certificate = f"alpha-threshold criterion: l_{symbol} = {symbol}"
         if certified_value is not None and stab.stabilized:
             if stab.length != certified_value:
+                if symbol == 1 and classification.determined:
+                    _check_window_top(spec, stab, certified_value)
                 raise RuntimeError(
                     f"symbol {symbol}: observed {stab.length} contradicts "
                     f"certified {certified_value}"

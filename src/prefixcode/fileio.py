@@ -25,9 +25,17 @@ class ParseError(PrefixCodeError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b", an integer, or a decimal literal to its exact value."""
+    """Parse "a/b", an integer, or a decimal literal to its exact value.
+
+    The grammar is ``Fraction``'s on Python 3.11, whose message a rejected
+    literal keeps: no whitespace inside the literal, though later versions
+    accept "5 / 3".
+    """
+    literal = text.strip()
     try:
-        return Fraction(text.strip())
+        if any(map(str.isspace, literal)):
+            raise ValueError(f"Invalid literal for Fraction: {literal!r}")
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse rational {text!r}: {exc}") from None
 

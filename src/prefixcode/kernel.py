@@ -8,61 +8,88 @@ weights and inserts their sum before any weight of equal value.  The input
 is sorted and merge sums never decrease, so the kernel runs the two-queue
 form of that rule (van Leeuwen, 1976): a read pointer into the leaves,
 smallest first, and a FIFO of merged sums.  "Before equals" means that on a
-tie the leaf pops first, and of two equal merged sums the older one.  Every
-queued sum is at most the new sum, so the 1-based insertion index is
-1 + (number of leaves > sum), tracked by a pointer that only moves left.
+tie the leaf pops first, and of two equal merged sums the older one.
+
+The loop records only each merge sum and the queue head after each merge.
+Everything else follows from those two lists: merge m pops the queued sums
+between its two heads, and its other pops are the next unmerged leaves,
+largest index first.  :func:`run_merges` derives parents, depths and
+insertion indices after the loop; :func:`leading_depths` walks from the
+root down only as far as the first d leaves.
 """
 
 from __future__ import annotations
 
-_UNBOUNDED = float("inf")  # above every merge sum
+from itertools import islice
 
 
-def _merge(nums, steps, bound):
+def _merge(nums, steps, bound=None):
     """Up to `steps` merges, stopping before the first merge sum >= `bound`.
 
-    Returns ``(leaves, sums, head, ks, parents)``: ``nums[:leaves]`` are the
-    leaves not yet merged, ``sums[m-1]`` is the sum merge m created (node
-    ``n-1+m``), of which ``sums[head:]`` are not yet merged, ``ks`` the
-    insertion indices and ``parents`` the parent node id of each node.
+    Returns ``(sums, heads)``: ``sums[m]`` is the sum merge m (0-based)
+    created, node ``n + m``, and ``heads[m]`` the number of sums merged
+    before merge m, so ``heads[-1]`` is the queue head after the last merge.
+    Before merge m, ``n - 2*m + heads[m]`` leaves are not yet merged.
     """
     n = len(nums)
-    sums = []
-    ks = []
-    parents = [0] * (2 * n - 1)
-    leaf = n - 1  # the smallest leaf not yet merged
+    # a sentinel above every weight ends both the leaves (read from the
+    # right) and the queue, so neither needs an exhaustion test
+    top = nums[0] * n + 1 if nums else 1
+    if bound is None:
+        bound = top
+    leaves = [top, *nums]
+    sums = [top] * steps
+    heads = [0]
+    leaf = n
     head = 0
-    above = n  # leaves nums[:above] exceed the latest merge sum
-    for node in range(n, n + steps):
-        queued = node - n  # len(sums)
-        if leaf >= 0 and (head == queued or nums[leaf] <= sums[head]):
-            b, bi = nums[leaf], leaf
+    for m in range(steps):
+        x = leaves[leaf]
+        y = sums[head]
+        if x <= y:
             leaf -= 1
         else:
-            b, bi = sums[head], n + head
+            x = y
             head += 1
-        if leaf >= 0 and (head == queued or nums[leaf] <= sums[head]):
-            a, ai = nums[leaf], leaf
+        y = leaves[leaf]
+        s = sums[head]
+        if y <= s:
             leaf -= 1
+            s = x + y
         else:
-            a, ai = sums[head], n + head
             head += 1
-        s = a + b
+            s += x
         if s >= bound:  # put the pair back
-            leaf += (ai < n) + (bi < n)
-            head -= (ai >= n) + (bi >= n)
+            del sums[m:]
             break
-        parents[ai] = parents[bi] = node
-        while above and nums[above - 1] <= s:
-            above -= 1
-        ks.append(above + 1)
-        sums.append(s)
-    return leaf + 1, sums, head, ks, parents
+        sums[m] = s
+        heads.append(head)
+    return sums, heads
 
 
-def _state(nums, leaves, sums, head):
-    """The non-increasing weight list of the leaves and the queued sums."""
+def _state(nums, sums, heads):
+    """The non-increasing weight list the recorded merges leave."""
+    head = heads[-1]
+    leaves = len(nums) - 2 * len(sums) + head
     return sorted([*nums[:leaves], *sums[head:]], reverse=True)
+
+
+def _leaf_depths(n, heads, d):
+    """Depths of leaves 0..d-1 (d <= n) from the recorded heads, one tree
+    level at a time from the root down.
+
+    Depths never increase in pop order, so the merges whose nodes sit at one
+    level are a run ``lo..hi-1``: their children are the sums ``heads[lo]``
+    to ``heads[hi] - 1``, the next level's merges, and the leaves that are
+    unmerged before merge lo but not after merge hi-1.
+    """
+    out = []
+    depth = 1
+    lo, hi = n - 2, n - 1  # the root
+    while len(out) < d:
+        out += [depth] * (n - 2 * lo + heads[lo] - len(out))
+        lo, hi = heads[lo], heads[hi]
+        depth += 1
+    return out
 
 
 def run_merges(nums):
@@ -79,11 +106,43 @@ def run_merges(nums):
     n = len(nums)
     if n < 2:
         raise ValueError("need at least two weights")
-    _, sums, _, ks, parents = _merge(nums, n - 1, _UNBOUNDED)
-    depths = [0] * (2 * n - 1)
-    for node in range(2 * n - 3, -1, -1):
-        depths[node] = depths[parents[node]] + 1
-    return depths[:n], ks, sums, parents
+    sums, heads = _merge(nums, n - 1)
+    parents = [0] * (2 * n - 1)
+    ks = []
+    above = n  # leaves nums[:above] exceed the latest merge sum
+    left = n  # leaves not yet merged
+    node = n
+    h0 = 0
+    for s, h1 in zip(sums, islice(heads, 1, None)):
+        if h1 == h0:  # two leaves
+            left -= 2
+            parents[left] = parents[left + 1] = node
+        elif h1 == h0 + 1:  # a leaf and a sum
+            left -= 1
+            parents[left] = parents[n + h0] = node
+        else:  # two sums
+            parents[n + h0] = parents[n + h0 + 1] = node
+        h0 = h1
+        node += 1
+        # every queued sum is at most s, so s goes in after the leaves > s
+        while above and nums[above - 1] <= s:
+            above -= 1
+        ks.append(above + 1)
+    return _leaf_depths(n, heads, n), ks, sums, parents
+
+
+def leading_depths(nums, d):
+    """Depths of the first ``min(d, n)`` leaves: ``run_merges(nums)[0][:d]``.
+
+    Runs the same loop, then walks from the root down only to the level
+    that takes leaf d-1.  The largest weights merge last, so on a
+    fast-decaying source that is O(d) steps, not the whole tree.
+    """
+    n = len(nums)
+    if n < 2:
+        raise ValueError("need at least two weights")
+    d = min(d, n)
+    return _leaf_depths(n, _merge(nums, n - 1)[1], d)[:d]
 
 
 def state_after(nums, steps):
@@ -91,8 +150,7 @@ def state_after(nums, steps):
     n = len(nums)
     if not 0 <= steps <= n - 1:
         raise ValueError(f"steps must be in [0, {n - 1}], got {steps}")
-    leaves, sums, head, _, _ = _merge(nums, steps, _UNBOUNDED)
-    return _state(nums, leaves, sums, head)
+    return _state(nums, *_merge(nums, steps))
 
 
 def merge_until(nums, bound):
@@ -103,5 +161,5 @@ def merge_until(nums, bound):
     ``bound = nums[0]`` that is the delta occasion: ``steps`` counts the
     merge sums below the top weight, without running the rest.
     """
-    leaves, sums, head, _, _ = _merge(nums, max(len(nums) - 1, 0), bound)
-    return len(sums), _state(nums, leaves, sums, head)
+    sums, heads = _merge(nums, max(len(nums) - 1, 0), bound)
+    return len(sums), _state(nums, sums, heads)

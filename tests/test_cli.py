@@ -280,13 +280,13 @@ class TestConverge:
 
     def test_csv_reuses_the_report_sweep(self, capsys, tmp_path, monkeypatch):
         sizes = []
-        run_merges = kernel.run_merges
+        leading_depths = kernel.leading_depths
 
         def counting(nums, *args, **kwargs):
             sizes.append(len(nums))
-            return run_merges(nums, *args, **kwargs)
+            return leading_depths(nums, *args, **kwargs)
 
-        monkeypatch.setattr(kernel, "run_merges", counting)
+        monkeypatch.setattr(kernel, "leading_depths", counting)
         run_json(
             capsys,
             ["converge", "--spec", "geom:1/4", "--depth", "2", "--nmax", "48",
@@ -296,6 +296,26 @@ class TestConverge:
 
     def test_finite_source_rejected(self, capsys, dist_file):
         assert run(["converge", "--spec", f"file:{dist_file}", "--depth", "1"]) == 2
+
+    @pytest.mark.parametrize("argv, window", [
+        (["--spec", "geom:1/4", "--depth", "1", "--nmax", "3", "--window", "2"], "2..3"),
+        (["--spec", "geom:1/8", "--depth", "1", "--nmax", "8", "--window", "4"], "5..8"),
+    ])
+    def test_window_before_the_certified_interval_exits_2(self, capsys, argv, window):
+        # the window's truncations have their own p1/S_n outside the
+        # certified interval, so their l_1 contradicts nothing
+        assert run(["converge", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: window n = {window} is too early")
+        assert err.rstrip().endswith("raise --nmax")
+
+    def test_contradicting_kernel_exits_1(self, capsys, monkeypatch):
+        leading_depths = kernel.leading_depths
+        monkeypatch.setattr(kernel, "leading_depths",
+                            lambda nums, d: [x + 1 for x in leading_depths(nums, d)])
+        assert run(["converge", "--spec", "geom:1/4", "--depth", "1", "--nmax", "64",
+                    "--window", "16"]) == 1
+        assert "symbol 1: observed 3 contradicts certified 2" in capsys.readouterr().err
 
 
 class TestCoverage:

@@ -1,5 +1,6 @@
 """Stabilization of truncation code lengths and theorem-backed labels."""
 
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,8 @@ from prefixcode.errors import (
     OutOfRangeError,
     SymbolOutOfRangeError,
 )
+from prefixcode.fileio import parse_source
+from prefixcode.sources import AlphaVector
 
 
 class _WrongHeadSum(Geometric):
@@ -39,6 +42,34 @@ class _Unsorted(Geometric):
         if n >= 4:
             probs[2], probs[3] = probs[3], probs[2]
         return probs
+
+
+@dataclass(frozen=True)
+class _WrongProb(Geometric):
+    """Raises p_k by a thousandth of itself: still sorted, no longer S_n."""
+
+    k: int = 2
+
+    def prefix_probs(self, n):
+        probs = super().prefix_probs(n)
+        if n >= self.k:
+            probs[self.k - 1] *= F(1001, 1000)
+        return probs
+
+
+class _WrongCover(Geometric):
+    """Prefix and head sums of geom:1/4, alpha cover of geom:1/3."""
+
+    def alphas_cover(self):
+        return AlphaVector((F(1, 3),))
+
+
+SWEEP_SPECS = [
+    Geometric(F(1, 4)),
+    AlphaSequence((F(3, 7), F(2, 5), F(9, 20))),
+    ExplicitHead((F(1, 3), F(1, 4)), F(1, 3)),
+    ExplicitHead((F(1, 3),), F(1, 2)),
+]
 
 
 class TestTruncationSequence:
@@ -59,20 +90,15 @@ class TestTruncationSequence:
             if n >= 5:
                 assert vec[0] == 2
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            Geometric(F(1, 4)),
-            AlphaSequence((F(3, 7), F(2, 5), F(9, 20))),
-            ExplicitHead((F(1, 3), F(1, 4)), F(1, 3)),
-            ExplicitHead((F(1, 3),), F(1, 2)),
-        ],
-        ids=lambda spec: spec.literal(),
-    )
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=lambda spec: spec.literal())
     def test_matches_renormalized_truncations(self, spec):
         expected = [huffman_lengths(truncate(spec, n)) for n in range(2, 129)]
         assert truncation_sequence(spec, 2, 128) == expected
         assert truncation_sequence(spec, 7, 40) == expected[5:39]
+        # the report's depth-limited sweep keeps the leading lengths
+        for depth in (1, 16, 120):
+            report = estimate_optimal_lengths(spec, depth, n_max=128, window=8)
+            assert report.length_prefixes == tuple(tuple(vec)[:depth] for vec in expected)
 
     def test_head_sum_mismatch_is_not_normalized(self):
         spec = _WrongHeadSum(F(1, 4))
@@ -83,6 +109,36 @@ class TestTruncationSequence:
             truncation_sequence(spec, 2, 6)
         with pytest.raises(NotNormalizedError):
             estimate_optimal_lengths(spec, 1, n_max=40, window=8)
+
+    @pytest.mark.parametrize("k, n_min", [(5, 5), (20, 2), (40, 2)],
+                             ids=["at-n_min", "middle", "at-n_max"])
+    def test_wrong_prefix_probability_names_its_partial_sum(self, k, n_min):
+        # the first n whose prefix misses S_n raises, with the message of
+        # check_head_sum at that n
+        spec = _WrongProb(F(1, 4), k)
+        want = str(NotNormalizedError(sum(spec.prefix_probs(k)) / spec.head_sum(k)))
+        with pytest.raises(NotNormalizedError) as got:
+            truncation_sequence(spec, n_min, 40)
+        assert str(got.value) == want
+        with pytest.raises(NotNormalizedError) as got:
+            estimate_optimal_lengths(spec, 1, n_max=40, window=8)
+        assert str(got.value) == want
+        if k > n_min:
+            assert len(truncation_sequence(spec, n_min, k - 1)) == k - n_min
+
+    def test_head_sum_is_checked_at_n_max(self):
+        # the prefix agrees with the alpha cover at every n; only the
+        # family's closed form, consulted at n_max, disagrees
+        spec = _WrongHeadSum(F(1, 4))
+        for n_max in (6, 7, 40):
+            with pytest.raises(NotNormalizedError) as got:
+                truncation_sequence(spec, 2, n_max)
+            total = sum(spec.prefix_probs(n_max))
+            assert str(got.value) == str(NotNormalizedError(total))
+
+    def test_alpha_cover_disagreeing_with_head_sum_is_a_bug(self):
+        with pytest.raises(RuntimeError, match="alpha cover disagrees with S_2"):
+            truncation_sequence(_WrongCover(F(1, 4)), 2, 8)
 
     def test_unsorted_prefix_is_rejected(self):
         # a denominator past the int-to-str digit limit must still render in
@@ -210,6 +266,30 @@ def test_report_keeps_leading_lengths_only():
     assert report.length_prefixes == tuple(tuple(vec)[:3] for vec in full)
     assert csv_rows(report.length_prefixes, 3) == csv_rows(full, 3)
     assert "length_prefixes" not in report.to_dict()
+
+
+# p1 in the intervals k = 1..5, near an edge (3/13 against 2/9) and on the
+# p1 >= 1/2 rule; the early truncations of most have their own p1/S_n in
+# another interval
+SCAN_SPECS = ["geom:1/2", "geom:1/4", "geom:1/8", "geom:1/16", "geom:1/32", "geom:5/16",
+              "geom:2/7", "geom:3/13", "alpha:[1/4,1/3]", "alpha:[3/7,2/5,9/20]"]
+
+
+def test_small_windows_never_contradict_a_certificate():
+    # every window of every n_max <= 40: a window of early truncations may
+    # not reach the certified l_1 (an input error), but an observed l_1
+    # never contradicts the certificate
+    early = 0
+    for literal in SCAN_SPECS:
+        spec = parse_source(literal)
+        for n_max in range(2, 41):
+            for window in range(1, n_max):
+                try:
+                    estimate_optimal_lengths(spec, 1, n_max=n_max, window=window)
+                except OutOfRangeError as exc:
+                    assert str(exc).endswith("raise --nmax")
+                    early += 1
+    assert early == 513
 
 
 def test_csv_rows_shape():

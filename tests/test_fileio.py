@@ -124,6 +124,21 @@ def test_bad_file_raises_what_the_reference_raises(tmp_path, text, error, lineno
         assert str(got.value).startswith(f"{path}:{lineno}: cannot parse rational")
 
 
+@pytest.mark.parametrize("text, literal", [
+    (" 5 / 3 ", "5 / 3"),
+    ("5/ 3", "5/ 3"),
+    ("1\t/2", "1\t/2"),
+    ("1 000", "1 000"),
+])
+def test_whitespace_inside_a_literal_is_rejected(text, literal):
+    # Python 3.12 and later accept "5 / 3"; the grammar and message stay
+    # those of Python 3.11
+    with pytest.raises(ParseError) as got:
+        parse_rational(text)
+    assert str(got.value) == (
+        f"cannot parse rational {text!r}: Invalid literal for Fraction: {literal!r}")
+
+
 def test_line_past_the_digit_limit_is_a_parse_error(tmp_path):
     path = tmp_path / "dist.txt"
     path.write_text("1/2\n1/" + "2" * 5000 + "\n", encoding="utf-8")

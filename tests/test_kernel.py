@@ -1,5 +1,6 @@
 """The two-queue merge kernel equals the binary-search loop it replaced, bit
-for bit, and preserves exact invariants."""
+for bit, and preserves exact invariants; its leading depths are a prefix of
+the full run's."""
 
 from fractions import Fraction
 from itertools import islice
@@ -203,6 +204,9 @@ def test_kernel_equals_reference_on_random_inputs(rng):
     for nums in differential_inputs(rng):
         *run, states = reference_merges(nums)
         assert kernel.run_merges(nums) == tuple(run)
+        n = len(nums)
+        for d in (1, 2, 16, n - 1, n, n + 1):
+            assert kernel.leading_depths(nums, d) == run[0][:d]
         assert [kernel.state_after(nums, m) for m in range(len(nums))] == [nums] + states
         total = sum(nums)
         for bound in (nums[0], rng.randint(1, total), total, total + 1):
@@ -216,6 +220,8 @@ def test_kernel_equals_reference_on_geometric_prefixes():
         nums = full[:n]
         *run, states = reference_merges(nums)
         assert kernel.run_merges(nums) == tuple(run)
+        for d in (1, 16, n):
+            assert kernel.leading_depths(nums, d) == run[0][:d]
         for bound in (nums[0], sum(nums), sum(nums) + 1):
             assert kernel.merge_until(nums, bound) == reference_merge_until(nums, bound)
         if n % 50 == 0:
@@ -233,3 +239,8 @@ def test_reference_equals_fraction_merge_step(rng):
             state, step_k = merge_step(state)
             assert step_k == k
             assert state.probs == tuple(Fraction(v, den) for v in expected)
+
+
+def test_leading_depths_rejects_single_weight():
+    with pytest.raises(ValueError):
+        kernel.leading_depths([7], 1)
