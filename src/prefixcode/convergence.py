@@ -34,11 +34,9 @@ CERTIFIED = "CERTIFIED"
 EMPIRICAL = "EMPIRICAL"
 
 
-def _sweep(
-    spec: SourceSpec, n_min: int, n_max: int, depth: int | None = None
-) -> Iterator[list[int]]:
-    """Huffman lengths of the truncations n = n_min..n_max, in order; with
-    `depth`, only the lengths of symbols 1..depth.
+def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[list[int]]:
+    """Huffman lengths of symbols 1..depth in the truncations n = n_min..n_max,
+    in order (all n lengths where depth >= n).
 
     Merging is scale-invariant, so truncation n codes the integer prefix
     ``nums[:n]`` of the n_max prefix over one shared denominator instead of
@@ -74,16 +72,12 @@ def _sweep(
                 raise RuntimeError(
                     f"{spec.literal()}: the alpha cover disagrees with S_{n}"
                 )
-        prefix = nums[:n]
-        if depth is None:
-            yield kernel.run_merges(prefix)[0]
-        else:
-            yield kernel.leading_depths(prefix, depth)
+        yield kernel.leading_depths(nums[:n], depth)
 
 
 def truncation_sequence(spec: SourceSpec, n_min: int, n_max: int) -> list[LengthVector]:
     """Huffman lengths of every truncation from n_min through n_max."""
-    return [LengthVector(tuple(lengths)) for lengths in _sweep(spec, n_min, n_max)]
+    return [LengthVector(tuple(lengths)) for lengths in _sweep(spec, n_min, n_max, n_max)]
 
 
 @dataclass(frozen=True)
