@@ -29,7 +29,7 @@ from prefixcode.antiuniform import (
 from prefixcode.convergence import csv_rows, estimate_optimal_lengths
 from prefixcode.delta import DeltaKind, delta_occasion
 from prefixcode.distributions import FiniteDistribution, counterexample
-from prefixcode.errors import PrefixCodeError, TailNotComputableError
+from prefixcode.errors import OutOfRangeError, PrefixCodeError, TailNotComputableError
 from prefixcode.fileio import parse_rational, parse_source, read_distribution_file
 from prefixcode.huffman import (
     LengthVector,
@@ -44,6 +44,10 @@ from prefixcode.intervals import L1Interval, classify_l1, coverage_sum
 from prefixcode.numutil import decimal_ceil, decimal_floor, decimal_str, rat_str, weight_strs
 from prefixcode.oracle import count_kraft_tight, optimal_lengths
 from prefixcode.sources import SourceSpec, truncate
+
+# the trace file grows as O(n**2): 300 MB for geom:1/4 at n = 800, and
+# 40 GB at the truncation cap of 4096
+MAX_TRACE_BYTES = 1 << 30
 
 PROVENANCE = {
     "tool": f"prefixcode {__version__}",
@@ -75,10 +79,16 @@ def _write_trace(trace: MergeTrace, path: str) -> None:
 
 def _code(dist: FiniteDistribution, traced: bool) -> tuple[LengthVector, MergeTrace | None]:
     """Code lengths, from the one kernel run that also yields the trace
-    when one is asked for."""
-    if traced:
-        return huffman(dist)
-    return huffman_lengths(dist), None
+    when one is asked for; a trace longer than MAX_TRACE_BYTES is refused
+    before the report is built or the file opened."""
+    if not traced:
+        return huffman_lengths(dist), None
+    lengths, trace = huffman(dist)
+    size = trace.json_size()
+    if size > MAX_TRACE_BYTES:
+        raise OutOfRangeError(
+            f"--trace would write {size} bytes, which exceeds the limit {MAX_TRACE_BYTES}")
+    return lengths, trace
 
 
 def _delta_payload(dist: FiniteDistribution) -> dict:

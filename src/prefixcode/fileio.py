@@ -2,7 +2,10 @@
 
 File format: UTF-8 text (a leading byte-order mark is skipped), one rational
 per line, either "a/b" or a decimal literal (parsed exactly, so 0.4 means
-2/5); lines starting with '#' and blank lines are ignored.
+2/5); lines starting with '#' and blank lines are ignored.  A file of "a/D"
+lines over one shared denominator D, each ending in a newline (every "w/W"
+export has that shape), is read whole into integers; any other file is read
+line by line, with the same values and the same ``path:lineno:`` messages.
 
 Source literals: "geom:a/b", "alpha:[a/b,c/d,...]" (a finite list; the last
 ratio repeats forever), or "file:PATH" for a finite distribution.
@@ -40,16 +43,48 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"cannot parse rational {text!r}: {exc}") from None
 
 
+def _shared_denominator(text: str) -> FiniteDistribution | None:
+    """The weights of a text made only of "a/D" lines over one nonzero ASCII
+    denominator D, each ending in a newline; None for any other text.
+
+    A few whole-string operations decide the shape and one ``map(int, ...)``
+    converts the numerators: no regex and no per-line loop, which keeps the
+    peak memory of a 4096-line file below the line loop's.
+    """
+    if not text.endswith("\n"):
+        return None
+    _, slash, den = text[:text.find("\n")].partition("/")
+    if not (slash and den.isascii() and den.isdigit() and den.strip("0")):
+        return None
+    body = text.replace(f"/{den}\n", "\n")
+    # a numerator left empty or a line over another denominator leaves an
+    # empty line or a non-digit behind
+    if not (body.isascii() and not body.startswith("\n") and "\n\n" not in body
+            and body.replace("\n", "").isdigit()):
+        return None
+    try:
+        nums = tuple(map(int, body.split()))
+        den = int(den)
+    except ValueError:  # a literal past the int-to-str digit limit
+        return None
+    return FiniteDistribution(nums, den)
+
+
 def read_distribution_file(path: str | Path) -> FiniteDistribution:
     """Read one rational per line; '#' comments and blank lines allowed.
 
-    A line of ASCII digits "a/b" with b nonzero is split into integers
-    directly; every other line goes through :func:`parse_rational`.
+    A file of "a/D" lines over one shared denominator is converted whole
+    (see :func:`_shared_denominator`).  Otherwise a line of ASCII digits
+    "a/b" with b nonzero is split into integers directly, and every other
+    line goes through :func:`parse_rational`.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    dist = _shared_denominator(text)
+    if dist is not None:
+        return dist
     digits = sys.get_int_max_str_digits() or len(text)
     nums, dens = [], []
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -15,6 +15,7 @@ root has depth 0 and each merged node's two children sit one level deeper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -50,9 +51,13 @@ class MergeTrace:
     ``nums`` are the input weights over the shared denominator ``den``, and
     merge m placed the merged weight ``sums[m-1]`` at 1-based index
     ``ks[m-1]`` of the reduced state.  States are not stored: each view
-    regenerates them by replaying the record on one integer list, and every
-    state is checked once by :func:`~prefixcode.distributions.check_weights`,
-    as a :class:`MergeState` is built or as its line is written.
+    regenerates them by replaying the record on one integer list, and checks
+    them as it goes.  The input weights get the full
+    :func:`~prefixcode.distributions.check_weights`.  A merge then leaves a
+    valid state exactly when its merged weight is the sum of the two weights
+    it pops and sits between its new neighbours, because the state before it
+    was valid; that O(1) test stands in for the O(n) check, which runs only
+    when the test fails, to raise the error it always raised.
     """
 
     nums: tuple[int, ...]
@@ -68,15 +73,19 @@ class MergeTrace:
             )
 
     def _replay(self) -> Iterator[list[int]]:
-        """The weight list at m = 0, 1, ..., n-1, unchecked; one list,
-        updated in place between yields."""
+        """The checked weight list at m = 0, 1, ..., n-1; one list, updated
+        in place between yields."""
+        den = self.den
         vals = list(self.nums)
+        check_weights(vals, den)
         yield vals
         for k, s in zip(self.ks, self.sums):
-            del vals[-2:]
+            popped = vals.pop() + vals.pop()
             if not 1 <= k <= len(vals) + 1:
                 raise NotSortedError(f"insertion index {k} outside [1, {len(vals) + 1}]")
             vals.insert(k - 1, s)
+            if s != popped or (k > 1 and vals[k - 2] < s) or (k < len(vals) and s < vals[k]):
+                check_weights(vals, den)
             yield vals
 
     @property
@@ -94,17 +103,40 @@ class MergeTrace:
             for m, (k, s) in enumerate(zip(self.ks, self.sums), start=1)
         )
 
+    @cached_property
+    def _rendered(self) -> dict[int, str]:
+        """Each weight a state can hold (an input weight or a merged one),
+        rendered once as a quoted JSON string."""
+        values = tuple(set(self.nums).union(self.sums))
+        return {v: f'"{text}"' for v, text in zip(values, weight_strs(values, self.den))}
+
+    def json_size(self) -> int:
+        """The length of :meth:`iter_json_lines`, newlines included, in
+        characters (they are ASCII, so bytes too), without rendering a line.
+
+        The rendered lengths of the state are replayed as the weights are,
+        and their total is updated by the two popped and the one merged.
+        """
+        rendered = self._rendered
+        widths = [len(rendered[v]) for v in self.nums]
+        state = sum(widths)
+        size = 0
+        for m, (k, s) in enumerate(zip(self.ks, self.sums), start=1):
+            width = len(rendered[s])
+            state += width - widths.pop() - widths.pop()
+            widths.insert(k - 1, width)
+            # '{"m": , "k": , "merged": , "state": []}' and the newline are 40
+            # characters, and the c = n - m entries add c - 1 separators ", "
+            size += 38 + len(str(m)) + len(str(k)) + width + state + 2 * len(widths)
+        return size
+
     def iter_json_lines(self) -> Iterator[str]:
         """One JSON record per merge step, rationals rendered as strings,
         produced one line at a time (the lines total O(n**2) characters)."""
-        den = self.den
         states = self._replay()
-        check_weights(next(states), den)  # m = 0 has no record
-        # every state entry is an input weight or a merged one
-        values = tuple(set(self.nums).union(self.sums))
-        rendered = {v: f'"{text}"' for v, text in zip(values, weight_strs(values, den))}
+        next(states)  # m = 0 has no record
+        rendered = self._rendered
         for m, (k, s, vals) in enumerate(zip(self.ks, self.sums, states), start=1):
-            check_weights(vals, den)
             state = ", ".join(map(rendered.__getitem__, vals))
             yield f'{{"m": {m}, "k": {k}, "merged": {rendered[s]}, "state": [{state}]}}'
 

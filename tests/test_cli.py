@@ -106,6 +106,49 @@ class TestAnalyze:
         assert report["results"]["trace_file"] == str(trace_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "file:{dist_file}"],
+    ["analyze", "geom:1/4", "--truncate", "100"],
+    ["analyze", "alpha:[3/7,2/5,9/20]", "--truncate", "60"],
+    ["analyze", "alpha:[2/5]", "--truncate", "128"],
+    ["counterexample", "2", "--epsilon", "1/36"],
+    ["counterexample", "3", "--analyze"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_trace_size_is_the_bytes_written(capsys, dist_file, tmp_path, monkeypatch, argv):
+    sizes = []
+    json_size = cli.MergeTrace.json_size
+
+    def recording(trace):
+        sizes.append(json_size(trace))
+        return sizes[-1]
+
+    monkeypatch.setattr(cli.MergeTrace, "json_size", recording)
+    trace_path = tmp_path / "trace.jsonl"
+    run_json(capsys, [a.format(dist_file=dist_file) for a in argv] + ["--trace", str(trace_path)])
+    assert sizes == [trace_path.stat().st_size]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "geom:1/4", "--truncate", "100"],
+    ["counterexample", "2", "--analyze"],
+], ids=lambda argv: argv[0])
+def test_trace_past_its_cap_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch, argv):
+    trace_path = tmp_path / "trace.jsonl"
+    run_json(capsys, argv + ["--trace", str(trace_path)])
+    size = trace_path.stat().st_size
+    trace_path.unlink()
+    monkeypatch.setattr(cli, "MAX_TRACE_BYTES", size - 1)
+    assert run(argv + ["--trace", str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --trace would write {size} bytes, which exceeds the limit {size - 1}\n")
+    assert not trace_path.exists()
+    monkeypatch.setattr(cli, "MAX_TRACE_BYTES", size)
+    run_json(capsys, argv + ["--trace", str(trace_path)])
+    assert trace_path.stat().st_size == size
+
+
 class TestClassify:
     def test_determined(self, capsys):
         report, _ = run_json(capsys, ["classify-l1", "0.25"])

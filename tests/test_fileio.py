@@ -1,5 +1,6 @@
 """Distribution files: the integer reader against the Fraction reference."""
 
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +14,12 @@ from prefixcode.errors import (
     PrefixCodeError,
     TooFewEntriesError,
 )
-from prefixcode.fileio import ParseError, parse_rational, read_distribution_file
+from prefixcode.fileio import (
+    ParseError,
+    _shared_denominator,
+    parse_rational,
+    read_distribution_file,
+)
 
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
@@ -122,6 +128,89 @@ def test_bad_file_raises_what_the_reference_raises(tmp_path, text, error, lineno
     assert str(got.value) == str(want.value)
     if lineno is not None:
         assert str(got.value).startswith(f"{path}:{lineno}: cannot parse rational")
+
+
+SHARED_DENOMINATOR_FILES = {
+    "plain": "3/8\n3/8\n1/8\n1/8\n",
+    "den-suffix-of-another": "2/4\n7/14\n",
+    "den-ends-another": "7/14\n2/4\n",
+    "den-prefix-of-another": "1/2\n14/28\n",
+    "den-starts-another": "14/28\n1/2\n",
+    "leading-zero-den": "3/04\n1/04\n",
+    "leading-zero-den-mixed": "3/04\n1/4\n",
+    "leading-zero-num": "03/4\n001/4\n",
+    "den-0": "1/0\n1/0\n",
+    "den-00": "1/00\n1/00\n",
+    "zero-num": "1/2\n1/2\n0/2\n",
+    "empty-num": "1/2\n/2\n1/2\n",
+    "empty-first-num": "/2\n1/2\n",
+    "empty-den": "1/\n1/\n",
+    "no-final-newline": "1/2\n1/2",
+    "crlf": "1/2\r\n1/2\r\n",
+    "cr": "1/2\r1/2\r",
+    "bom": "\ufeff1/2\n1/2\n",
+    "inner-bom": "1/2\n\ufeff1/2\n",
+    "blank-line": "1/2\n\n1/2\n",
+    "trailing-blank-line": "1/2\n1/2\n\n",
+    "only-newline": "\n",
+    "comment": "# head\n1/2\n1/2\n",
+    "comment-ending-in-den": "1/2\n# 1/2\n1/2\n",
+    "last-line-without-den": "1/2\n1",
+    "padded": " 1/2\n1/2\n",
+    "inner-space": "1 1/4\n2/4\n",
+    "padded-den": "1/2 \n1/2 \n",
+    "vertical-tab": "1/2\x0b1/2\n",
+    "sign": "+1/2\n1/2\n",
+    "digit-groups": "1_0/20\n10/20\n",
+    "two-slashes": "1/2/2\n1/2\n",
+    "arabic-indic-num": "1/2\n\u0661/2\n",
+    "arabic-indic-den": "1/\u0662\n1/\u0662\n",
+    "superscript-num": "1/2\n\u00b9/2\n",
+    "not-normalized": "1/3\n1/3\n",
+    "unsorted": "1/4\n3/4\n",
+    "one-line": "1/1\n",
+    "num-past-digit-limit": "1/2\n" + "0" * 4999 + "1/2\n",
+    "den-past-digit-limit": "1/" + "0" * 4999 + "2\n1/" + "0" * 4999 + "2\n",
+}
+
+
+@pytest.mark.parametrize("text", SHARED_DENOMINATOR_FILES.values(),
+                         ids=SHARED_DENOMINATOR_FILES.keys())
+def test_shared_denominator_file_reads_as_the_reference(tmp_path, text):
+    path = tmp_path / "dist.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        want = reference_read(path)
+    except PrefixCodeError as exc:
+        with pytest.raises(PrefixCodeError) as got:
+            read_distribution_file(path)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+    else:
+        got = read_distribution_file(path)
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_whole_file_read_peaks_below_the_line_loop(rng, tmp_path):
+    # the same 4096 lines, the second file without its final newline, which
+    # sends it through the line loop
+    weights = sorted((rng.randint(1, 10**6) for _ in range(4096)), reverse=True)
+    text = "".join(f"{w}/{sum(weights)}\n" for w in weights)
+    whole, lines = tmp_path / "whole.txt", tmp_path / "lines.txt"
+    whole.write_text(text, encoding="utf-8")
+    lines.write_text(text[:-1], encoding="utf-8")
+    assert _shared_denominator(text) is not None
+    assert _shared_denominator(text[:-1]) is None
+    dists, peaks = [], []
+    for path in (whole, lines):
+        tracemalloc.start()
+        try:
+            dists.append(read_distribution_file(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert dists[0] == dists[1]
+    assert peaks[0] <= peaks[1]
 
 
 @pytest.mark.parametrize("text, literal", [
