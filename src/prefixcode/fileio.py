@@ -44,7 +44,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _shared_denominator(text: str) -> FiniteDistribution | None:
-    """The weights of a text made only of "a/D" lines over one nonzero ASCII
+    """The weights of a text made only of "a/D" lines over one nonzero
     denominator D, each ending in a newline; None for any other text.
 
     A few whole-string operations decide the shape and one ``map(int, ...)``
@@ -54,12 +54,15 @@ def _shared_denominator(text: str) -> FiniteDistribution | None:
     if not text.endswith("\n"):
         return None
     _, slash, den = text[:text.find("\n")].partition("/")
-    if not (slash and den.isascii() and den.isdigit() and den.strip("0")):
+    if not (slash and den.isdigit() and den.strip("0")):
         return None
     body = text.replace(f"/{den}\n", "\n")
-    # a numerator left empty or a line over another denominator leaves an
-    # empty line or a non-digit behind
-    if not (body.isascii() and not body.startswith("\n") and "\n\n" not in body
+    # each line must lose exactly one "/D" (a line without it, such as a
+    # plain integer, loses none); a numerator left empty or a line over
+    # another denominator leaves an empty line or a non-digit behind.
+    # Non-ASCII digits read as Fraction reads them, or fail int() below.
+    if not (len(text) - len(body) == (len(den) + 1) * body.count("\n")
+            and not body.startswith("\n") and "\n\n" not in body
             and body.replace("\n", "").isdigit()):
         return None
     try:

@@ -44,6 +44,19 @@ class MergeState(Weights):
         self._store()
 
 
+_STATE_SEP = ", "
+
+
+def _record(m: object, k: object, merged: str, state: str) -> str:
+    """One trace line: merge m, its insertion index k, the rendered merged
+    weight and the rendered state entries joined by ``_STATE_SEP``."""
+    return f'{{"m": {m}, "k": {k}, "merged": {merged}, "state": [{state}]}}'
+
+
+# characters of a written trace line (with its newline) outside its fields
+_RECORD_FIXED = len(_record("", "", "", "") + "\n")
+
+
 @dataclass(frozen=True)
 class MergeTrace:
     """Integer record of the standardized merge process.
@@ -125,9 +138,9 @@ class MergeTrace:
             width = len(rendered[s])
             state += width - widths.pop() - widths.pop()
             widths.insert(k - 1, width)
-            # '{"m": , "k": , "merged": , "state": []}' and the newline are 40
-            # characters, and the c = n - m entries add c - 1 separators ", "
-            size += 38 + len(str(m)) + len(str(k)) + width + state + 2 * len(widths)
+            # the c = n - m state entries add c - 1 separators
+            size += (_RECORD_FIXED + len(str(m)) + len(str(k)) + width + state
+                     + len(_STATE_SEP) * (len(widths) - 1))
         return size
 
     def iter_json_lines(self) -> Iterator[str]:
@@ -137,8 +150,7 @@ class MergeTrace:
         next(states)  # m = 0 has no record
         rendered = self._rendered
         for m, (k, s, vals) in enumerate(zip(self.ks, self.sums, states), start=1):
-            state = ", ".join(map(rendered.__getitem__, vals))
-            yield f'{{"m": {m}, "k": {k}, "merged": {rendered[s]}, "state": [{state}]}}'
+            yield _record(m, k, rendered[s], _STATE_SEP.join(map(rendered.__getitem__, vals)))
 
     def json_lines(self) -> list[str]:
         """All of :meth:`iter_json_lines` as a list."""

@@ -156,6 +156,10 @@ SHARED_DENOMINATOR_FILES = {
     "comment": "# head\n1/2\n1/2\n",
     "comment-ending-in-den": "1/2\n# 1/2\n1/2\n",
     "last-line-without-den": "1/2\n1",
+    "integer-line": "1/2\n1\n",
+    "integer-line-normalized": "1/3\n1/3\n1\n",
+    "integer-line-inside": "2/4\n1\n1/4\n",
+    "integer-line-last-normalized": "2/4\n1/4\n1\n",
     "padded": " 1/2\n1/2\n",
     "inner-space": "1 1/4\n2/4\n",
     "padded-den": "1/2 \n1/2 \n",
