@@ -2,10 +2,12 @@
 
 File format: UTF-8 text (a leading byte-order mark is skipped), one rational
 per line, either "a/b" or a decimal literal (parsed exactly, so 0.4 means
-2/5); lines starting with '#' and blank lines are ignored.  A file of "a/D"
-lines over one shared denominator D, each ending in a newline (every "w/W"
-export has that shape), is read whole into integers; any other file is read
-line by line, with the same values and the same ``path:lineno:`` messages.
+2/5); lines starting with '#' and blank lines are ignored.  A file made only of
+"a/D" lines over one shared denominator D (every "w/W" export has that
+shape, with or without a final newline) is read whole into integers; any
+other file is read line by line through :func:`parse_rational`, with the
+same values and the same ``path:lineno:`` messages.  A literal's decimal
+exponent is at most ``MAX_EXPONENT`` in size.
 
 Source literals: "geom:a/b", "alpha:[a/b,c/d,...]" (a finite list; the last
 ratio repeats forever), or "file:PATH" for a finite distribution.
@@ -13,12 +15,11 @@ ratio repeats forever), or "file:PATH" for a finite distribution.
 
 from __future__ import annotations
 
-import sys
+import re
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
-from prefixcode.distributions import FiniteDistribution
+from prefixcode.distributions import FiniteDistribution, validate
 from prefixcode.errors import PrefixCodeError
 from prefixcode.sources import AlphaSequence, Geometric, SourceSpec
 
@@ -27,17 +28,32 @@ class ParseError(PrefixCodeError):
     """Malformed rational, distribution file, or source literal."""
 
 
+# Largest size of a literal's decimal exponent: Fraction builds
+# 10**exponent whatever its size, so "1e-1000000000" would ask for a
+# 3.3-billion-bit integer.
+MAX_EXPONENT = 10**5
+
+# Fraction's grammar of a decimal literal with an exponent, which it captures
+_DECIMAL_EXP = re.compile(
+    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?e([-+]?\d+(?:_\d+)*)",
+    re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b", an integer, or a decimal literal to its exact value.
 
     The grammar is ``Fraction``'s on Python 3.11, whose message a rejected
     literal keeps: no whitespace inside the literal, though later versions
-    accept "5 / 3".
+    accept "5 / 3".  An exponent larger than ``MAX_EXPONENT`` in size is
+    refused before ``Fraction`` builds its power of ten.
     """
     literal = text.strip()
     try:
         if any(map(str.isspace, literal)):
             raise ValueError(f"Invalid literal for Fraction: {literal!r}")
+        exp = _DECIMAL_EXP.fullmatch(literal)
+        if exp and abs(int(exp[1])) > MAX_EXPONENT:
+            raise ValueError(f"its exponent exceeds the limit of {MAX_EXPONENT}")
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse rational {text!r}: {exc}") from None
@@ -45,14 +61,15 @@ def parse_rational(text: str) -> Fraction:
 
 def _shared_denominator(text: str) -> FiniteDistribution | None:
     """The weights of a text made only of "a/D" lines over one nonzero
-    denominator D, each ending in a newline; None for any other text.
+    denominator D; None for any other text.  A missing final newline is
+    added first, so an export that ends without one reads whole too.
 
     A few whole-string operations decide the shape and one ``map(int, ...)``
     converts the numerators: no regex and no per-line loop, which keeps the
     peak memory of a 4096-line file below the line loop's.
     """
     if not text.endswith("\n"):
-        return None
+        text += "\n"
     _, slash, den = text[:text.find("\n")].partition("/")
     if not (slash and den.isdigit() and den.strip("0")):
         return None
@@ -77,9 +94,8 @@ def read_distribution_file(path: str | Path) -> FiniteDistribution:
     """Read one rational per line; '#' comments and blank lines allowed.
 
     A file of "a/D" lines over one shared denominator is converted whole
-    (see :func:`_shared_denominator`).  Otherwise a line of ASCII digits
-    "a/b" with b nonzero is split into integers directly, and every other
-    line goes through :func:`parse_rational`.
+    (see :func:`_shared_denominator`).  Any other file goes line by line
+    through :func:`parse_rational` and :func:`validate`.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -88,29 +104,16 @@ def read_distribution_file(path: str | Path) -> FiniteDistribution:
     dist = _shared_denominator(text)
     if dist is not None:
         return dist
-    digits = sys.get_int_max_str_digits() or len(text)
-    nums, dens = [], []
+    probs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        a, _, b = line.partition("/")
-        # ASCII digits over a nonzero denominator, too short for int() to
-        # reach the int-to-str digit limit
-        if (line.isascii() and a.isdigit() and b.isdigit() and b.strip("0")
-                and len(line) <= digits):
-            nums.append(int(a))
-            dens.append(int(b))
-            continue
         try:
-            x = parse_rational(line)
+            probs.append(parse_rational(line))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        nums.append(x.numerator)
-        dens.append(x.denominator)
-    den = lcm(*dens)
-    return FiniteDistribution(
-        [v if d == den else v * (den // d) for v, d in zip(nums, dens)], den)
+    return validate(probs)
 
 
 def parse_source(text: str) -> FiniteDistribution | SourceSpec:
@@ -122,10 +125,10 @@ def parse_source(text: str) -> FiniteDistribution | SourceSpec:
         body = text[len("alpha:") :].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ParseError(f"alpha literal must look like alpha:[a/b,...], got {text!r}")
-        parts = [p for p in body[1:-1].split(",") if p.strip()]
-        if not parts:
+        inner = body[1:-1]
+        if not inner.strip():
             raise ParseError("alpha literal needs at least one ratio")
-        return AlphaSequence(tuple(parse_rational(p) for p in parts))
+        return AlphaSequence(tuple(map(parse_rational, inner.split(","))))
     if text.startswith("file:"):
         return read_distribution_file(text[len("file:") :])
     raise ParseError(

@@ -8,8 +8,9 @@ is the unique position such that every entry before k is strictly greater
 than the sum and every entry from k on is at most the sum (a virtual
 sentinel larger than 1 sits at position 0).
 
-Codeword lengths are recovered by replaying the merge tree top-down: the
-root has depth 0 and each merged node's two children sit one level deeper.
+Codeword lengths are read off the kernel's record one tree level at a time
+from the root down: the root has depth 0 and each merged node's two
+children sit one level deeper.  No merge tree is built.
 """
 
 from __future__ import annotations
@@ -201,14 +202,14 @@ class CodeBook:
 def huffman_lengths(dist: FiniteDistribution) -> LengthVector:
     """Codeword lengths of the standardized Huffman code (no trace)."""
     nums, _ = dist.common_numerators()
-    depths, _, _, _ = kernel.run_merges(nums)
+    depths, _, _ = kernel.run_merges(nums)
     return LengthVector(tuple(depths))
 
 
 def huffman(dist: FiniteDistribution) -> tuple[LengthVector, MergeTrace]:
     """Standardized Huffman code lengths plus the integer merge trace."""
     nums, den = dist.common_numerators()
-    depths, ks, sums, _ = kernel.run_merges(nums)
+    depths, ks, sums = kernel.run_merges(nums)
     trace = MergeTrace(tuple(nums), den, tuple(ks), tuple(sums))
     return LengthVector(tuple(depths)), trace
 

@@ -13,14 +13,12 @@ tie the leaf pops first, and of two equal merged sums the older one.
 The loop records only each merge sum and the queue head after each merge.
 Everything else follows from those two lists: merge m pops the queued sums
 between its two heads, and its other pops are the next unmerged leaves,
-largest index first.  :func:`run_merges` derives parents, depths and
-insertion indices after the loop; :func:`leading_depths` walks from the
-root down only as far as the first d leaves.
+largest index first.  :func:`run_merges` derives depths and insertion
+indices after the loop; :func:`leading_depths` walks from the root down
+only as far as the first d leaves.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 
 def _merge(nums, steps, bound=None):
@@ -95,40 +93,24 @@ def _leaf_depths(n, heads, d):
 def run_merges(nums):
     """Run the merge loop to the root over non-increasing integer weights.
 
-    Returns ``(lengths, ks, sums, parents)``:
+    Returns ``(lengths, ks, sums)``:
 
     * ``lengths[i]``: final tree depth of input weight i;
     * ``ks[m-1]``: 1-based insertion index of merge m;
-    * ``sums[m-1]``: merged weight created by merge m;
-    * ``parents[j]``: parent node id of node j, where leaves are 0..n-1 and
-      merge m creates node n-1+m (the root has no parent entry).
+    * ``sums[m-1]``: merged weight created by merge m.
     """
     n = len(nums)
     if n < 2:
         raise ValueError("need at least two weights")
     sums, heads = _merge(nums, n - 1)
-    parents = [0] * (2 * n - 1)
     ks = []
     above = n  # leaves nums[:above] exceed the latest merge sum
-    left = n  # leaves not yet merged
-    node = n
-    h0 = 0
-    for s, h1 in zip(sums, islice(heads, 1, None)):
-        if h1 == h0:  # two leaves
-            left -= 2
-            parents[left] = parents[left + 1] = node
-        elif h1 == h0 + 1:  # a leaf and a sum
-            left -= 1
-            parents[left] = parents[n + h0] = node
-        else:  # two sums
-            parents[n + h0] = parents[n + h0 + 1] = node
-        h0 = h1
-        node += 1
+    for s in sums:
         # every queued sum is at most s, so s goes in after the leaves > s
         while above and nums[above - 1] <= s:
             above -= 1
         ks.append(above + 1)
-    return _leaf_depths(n, heads, n), ks, sums, parents
+    return _leaf_depths(n, heads, n), ks, sums
 
 
 def leading_depths(nums, d):

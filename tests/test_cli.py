@@ -188,6 +188,36 @@ def test_huge_out_of_range_rational_is_input_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["classify-l1", "1e-1000000000"],
+    ["converge", "--spec", "geom:1e-1000000000", "--depth", "1"],
+    ["anti-uniform", "alpha:[1/2,1e-1000000000]"],
+    ["counterexample", "2", "--epsilon", "1e-1000000000"],
+    ["analyze", "file:{}"],
+], ids=lambda argv: argv[0])
+def test_exponent_past_its_cap_exits_2_at_once(capsys, tmp_path, argv):
+    path = tmp_path / "dist.txt"
+    path.write_text("1/2\n1/4\n1E-1_000_000_000\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert run([arg.format(path) for arg in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("alpha:[3/7,,9/20]", "cannot parse rational ''"),
+    ("alpha:[3/7,9/20,]", "cannot parse rational ''"),
+    ("alpha:[,3/7]", "cannot parse rational ''"),
+    ("alpha:[3/7, ,9/20]", "cannot parse rational ' '"),
+    ("alpha:[]", "alpha literal needs at least one ratio"),
+    ("alpha:[ ]", "alpha literal needs at least one ratio"),
+])
+def test_blank_alpha_entry_is_input_error(capsys, literal, message):
+    for argv in (["anti-uniform", literal], ["converge", "--spec", literal, "--depth", "1"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
     ["analyze", "geom:1/4", "--truncate", "4097"],
     ["delta", "geom:1/4", "--truncate", "4097"],
     ["anti-uniform", "alpha:[2/5]", "--depth", "4097"],

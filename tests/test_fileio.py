@@ -15,6 +15,7 @@ from prefixcode.errors import (
     TooFewEntriesError,
 )
 from prefixcode.fileio import (
+    MAX_EXPONENT,
     ParseError,
     _shared_denominator,
     parse_rational,
@@ -196,15 +197,15 @@ def test_shared_denominator_file_reads_as_the_reference(tmp_path, text):
 
 
 def test_whole_file_read_peaks_below_the_line_loop(rng, tmp_path):
-    # the same 4096 lines, the second file without its final newline, which
+    # the same 4096 lines, the second file behind a comment line, which
     # sends it through the line loop
     weights = sorted((rng.randint(1, 10**6) for _ in range(4096)), reverse=True)
     text = "".join(f"{w}/{sum(weights)}\n" for w in weights)
     whole, lines = tmp_path / "whole.txt", tmp_path / "lines.txt"
     whole.write_text(text, encoding="utf-8")
-    lines.write_text(text[:-1], encoding="utf-8")
+    lines.write_text("# comment\n" + text, encoding="utf-8")
     assert _shared_denominator(text) is not None
-    assert _shared_denominator(text[:-1]) is None
+    assert _shared_denominator("# comment\n" + text) is None
     dists, peaks = [], []
     for path in (whole, lines):
         tracemalloc.start()
@@ -232,6 +233,22 @@ def test_whitespace_inside_a_literal_is_rejected(text, literal):
         f"cannot parse rational {text!r}: Invalid literal for Fraction: {literal!r}")
 
 
+def test_exponent_is_capped_before_fraction_runs():
+    assert parse_rational(f"1e-{MAX_EXPONENT}") == F(1, 10**MAX_EXPONENT)
+    assert parse_rational(f"2.5E+{MAX_EXPONENT}") == 25 * 10**(MAX_EXPONENT - 1)
+    for literal in (f"1e-{MAX_EXPONENT + 1}", f"-.5E{MAX_EXPONENT + 1}",
+                    "1e1_000_000_000", "3.e+0100001"):
+        with pytest.raises(ParseError) as got:
+            parse_rational(literal)
+        assert str(got.value) == (f"cannot parse rational {literal!r}:"
+                                  f" its exponent exceeds the limit of {MAX_EXPONENT}")
+    # a literal outside Fraction's grammar keeps Fraction's message
+    for literal in ("1/2e9999999", "abce9999999", "1e_9999999", "1e9999999_"):
+        with pytest.raises(ParseError) as got:
+            parse_rational(literal)
+        assert str(got.value).endswith(f"Invalid literal for Fraction: {literal!r}")
+
+
 def test_line_past_the_digit_limit_is_a_parse_error(tmp_path):
     path = tmp_path / "dist.txt"
     path.write_text("1/2\n1/" + "2" * 5000 + "\n", encoding="utf-8")
@@ -247,7 +264,6 @@ def test_digit_lines_build_no_fraction(rng, tmp_path, monkeypatch):
     weights = sorted((rng.randint(1, 10**6) for _ in range(4096)), reverse=True)
     total = sum(weights)
     path = tmp_path / "dist.txt"
-    path.write_text("".join(f"{w}/{total}\n" for w in weights), encoding="utf-8")
     built = []
     new = F.__new__
 
@@ -255,8 +271,10 @@ def test_digit_lines_build_no_fraction(rng, tmp_path, monkeypatch):
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(F, "__new__", counting)
-    dist = read_distribution_file(path)
-    assert built == []
-    monkeypatch.undo()
-    assert dist == reference_read(path)
+    for end in ("\n", ""):  # with and without a final newline
+        path.write_text("\n".join(f"{w}/{total}" for w in weights) + end, encoding="utf-8")
+        monkeypatch.setattr(F, "__new__", counting)
+        dist = read_distribution_file(path)
+        monkeypatch.undo()
+        assert built == []
+        assert dist == reference_read(path)

@@ -72,7 +72,7 @@ def merge_step(state):
 
 
 def reference_run(nums):
-    return reference_merges(nums)[:4]
+    return reference_merges(nums)[:3]
 
 
 def reference_merge_until(nums, bound):
@@ -96,23 +96,19 @@ def geometric_numerators(n_max):
 def test_reference_example(run_merges):
     # weights 4,3,2,1 over denominator 10
     nums = [4, 3, 2, 1]
-    depths, ks, sums, parents = run_merges(nums)
+    depths, ks, sums = run_merges(nums)
     states = reference_merges(nums)[4]
     assert depths == [1, 2, 3, 3]
     assert ks == [2, 1, 1]
     assert sums == [3, 6, 10]
     assert states == [[4, 3, 3], [6, 4], [10]]
     assert [kernel.state_after(nums, m) for m in (1, 2, 3)] == states
-    # merge 1 (node 4) has children 2 and 3; root is node 6
-    assert parents[2] == parents[3] == 4
-    assert parents[4] == parents[1] == 5
-    assert parents[5] == parents[0] == 6
 
 
 @pytest.mark.parametrize("run_merges", RUN_MERGES)
 def test_tie_inserts_before_equals(run_merges):
     # 1/3, 1/3, 1/3 over denominator 3: merged 2/3 goes in front
-    _, ks, sums, _ = run_merges([1, 1, 1])
+    _, ks, sums = run_merges([1, 1, 1])
     states = reference_merges([1, 1, 1])[4]
     assert ks == [1, 1]
     assert states[0] == [2, 1]
@@ -121,21 +117,21 @@ def test_tie_inserts_before_equals(run_merges):
 
 @pytest.mark.parametrize("run_merges", RUN_MERGES)
 def test_leaf_pops_before_an_equal_merged_node(run_merges):
-    # merge 1 makes node 4 = 2, tying leaf 0; leaf 1 merges with leaf 0
-    depths, ks, sums, parents = run_merges([2, 1, 1, 1])
+    # merge 1 makes a sum of 2, tying leaf 0; leaf 1 merges with leaf 0
+    # (popping the sum first would give depths [1, 2, 3, 3])
+    depths, ks, sums = run_merges([2, 1, 1, 1])
     assert ks == [1, 1, 1]
     assert sums == [2, 3, 5]
-    assert parents[:6] == [5, 5, 4, 4, 6, 6]
     assert depths == [2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("run_merges", RUN_MERGES)
 def test_older_merged_node_pops_before_an_equal_newer_one(run_merges):
-    # nodes 5 and 6 both weigh 2; leaf 0 merges with the older, node 5
-    depths, ks, sums, parents = run_merges([1, 1, 1, 1, 1])
+    # the first two sums both weigh 2; leaf 0 merges with the older one
+    # (the newer would give depths [2, 3, 3, 2, 2])
+    depths, ks, sums = run_merges([1, 1, 1, 1, 1])
     assert ks == [1, 1, 1, 1]
     assert sums == [2, 2, 3, 5]
-    assert parents[:8] == [7, 6, 6, 5, 5, 7, 8, 8]
     assert depths == [2, 2, 2, 3, 3]
 
 
@@ -145,7 +141,7 @@ def test_mass_and_order_invariants(run_merges, rng):
         n = rng.randint(2, 40)
         nums = sorted((rng.randint(1, 10**6) for _ in range(n)), reverse=True)
         total = sum(nums)
-        _, _, sums, _ = run_merges(nums)
+        _, _, sums = run_merges(nums)
         states = reference_merges(nums)[4]
         for state in states:
             assert sum(state) == total
@@ -159,7 +155,7 @@ def test_kraft_tight_depths(run_merges, rng):
     for _ in range(50):
         n = rng.randint(2, 40)
         nums = sorted((rng.randint(1, 999) for _ in range(n)), reverse=True)
-        depths, _, _, _ = run_merges(nums)
+        depths, _, _ = run_merges(nums)
         assert sum(2 ** (max(depths) - d) for d in depths) == 2 ** max(depths)
         assert all(a <= b for a, b in zip(depths, depths[1:]))
 
@@ -202,7 +198,7 @@ def differential_inputs(rng):
 
 def test_kernel_equals_reference_on_random_inputs(rng):
     for nums in differential_inputs(rng):
-        *run, states = reference_merges(nums)
+        *run, _, states = reference_merges(nums)
         assert kernel.run_merges(nums) == tuple(run)
         n = len(nums)
         for d in (1, 2, 16, n - 1, n, n + 1):
@@ -218,7 +214,7 @@ def test_kernel_equals_reference_on_geometric_prefixes():
     full = geometric_numerators(300)
     for n in range(2, 301):
         nums = full[:n]
-        *run, states = reference_merges(nums)
+        *run, _, states = reference_merges(nums)
         assert kernel.run_merges(nums) == tuple(run)
         for d in (1, 16, n):
             assert kernel.leading_depths(nums, d) == run[0][:d]
