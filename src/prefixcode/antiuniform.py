@@ -24,7 +24,14 @@ from typing import Sequence
 from prefixcode.distributions import FiniteDistribution
 from prefixcode.errors import OutOfRangeError
 from prefixcode.huffman import LengthVector, huffman_lengths
-from prefixcode.sources import AlphaSequence, AlphaVector, SourceSpec, coerce_alphas, truncate
+from prefixcode.sources import (
+    AlphaSequence,
+    AlphaVector,
+    SourceSpec,
+    check_denominator_bits,
+    coerce_alphas,
+    truncate,
+)
 
 # Largest --depth of the infinite-tail test: the exact tail masses grow in
 # size with the index, so the work grows faster than depth.
@@ -66,6 +73,7 @@ def check_infinite_tail(spec: SourceSpec, depth: int) -> AntiUniformVerdict:
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
     if depth > MAX_DEPTH:
         raise OutOfRangeError(f"depth {depth} exceeds the limit {MAX_DEPTH}")
+    check_denominator_bits(spec, depth + 1)
     probs = spec.prefix_probs(depth)
     for i in range(1, depth + 1):
         tail = spec.tail_after(i + 1)

@@ -25,7 +25,12 @@ from prefixcode.errors import OutOfRangeError, SymbolOutOfRangeError
 from prefixcode.huffman import LengthVector, huffman_lengths  # noqa: F401
 from prefixcode.intervals import classify_l1, classify_l1_infinite
 from prefixcode.numutil import common_numerators, rat_str
-from prefixcode.sources import MAX_TRUNCATION, SourceSpec, check_head_sum
+from prefixcode.sources import (
+    MAX_TRUNCATION,
+    SourceSpec,
+    check_denominator_bits,
+    check_head_sum,
+)
 
 DEFAULT_WINDOW = 32
 DEFAULT_NMAX = 512
@@ -45,34 +50,64 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[lis
     sortedness of the n_max prefix (every shorter prefix inherits them), and
     an exact partial sum S_n for every n.  S_n is 1 minus the product of
     (1 - alpha_j) over j <= n, which the alpha cover gives as one integer
-    fraction, a small factor per n; the family's own closed form
+    fraction, a small factor per n; once S_(n-1) is checked, 1 - S_n is
+    checked against (1 - S_(n-1))*(1 - alpha_n), so each n multiplies only
+    by the small factor.  The family's own closed form
     (:func:`check_head_sum`) is consulted at n_max and on any mismatch.
+
+    The truncations do not rerun the merge loop one by one.  With L the
+    length of the alpha cover and c/d = 1 - alpha_L, the weights from p_L on
+    shrink by c/d, so the tail V_n = {p_L, ..., p_n} obeys
+    V_(n+1) = {p_L} + (c/d)*V_n, and every merge below p_L stays in the tail.
+    :func:`kernel.tail_depths` keeps those merges as one frontier shared by
+    every truncation and finishes each truncation from the L - 1 head
+    weights plus the frontier.  Stepping to n + 1 scales the queued sums by
+    c/d, an exact division, since each is a sum of tail weights p_j with
+    j <= n and p_j*c/d = p_(j+1).  The frontier items hold the tail's mass,
+    below p_L/alpha_L, and any two of them sum to at least p_L, so all but
+    one are at least p_L/2: there are at most 2/alpha_L + 1 of them, and
+    the sweep does O(L + 1/alpha_L) merges per n instead of n.  That rests
+    on the prefix being geometric from p_L on, so p_(n+1)*d = p_n*c is
+    checked in integers for every n >= L, below n_min too, before
+    truncation n + 1 is coded; a prefix that breaks its own cover is a bug
+    of the source and raises :class:`RuntimeError`.
+    Truncations n <= L run the plain kernel.
     """
     if not 2 <= n_min <= n_max <= MAX_TRUNCATION:
         raise OutOfRangeError(
             f"need 2 <= n_min <= n_max <= {MAX_TRUNCATION}, got [{n_min}, {n_max}]"
         )
+    check_denominator_bits(spec, n_max)
     nums, den = common_numerators(spec.prefix_probs(n_max))
     check_weights(nums, sum(nums))
     cover = spec.alphas_cover().alphas
     factors = [(a.denominator - a.numerator, a.denominator) for a in cover]
-    rest = scale = 1  # 1 - S_n = rest / scale
+    tail = len(cover)
+    c, d = factors[-1]
+    frontier = kernel.tail_depths(nums, tail, c, d, n_min, depth)
+    rest, scale = den, 1  # the cover's 1 - S_n, over den, is rest / scale
     total = 0  # S_n = total / den
     for n in range(1, n_max + 1):
-        f_rest, f_scale = factors[min(n, len(factors)) - 1]
+        f_rest, f_scale = factors[min(n, tail) - 1]
         rest *= f_rest
         scale *= f_scale
         total += nums[n - 1]
-        if n < n_min:
-            continue
-        exact = total * scale == (scale - rest) * den
-        if not exact or n == n_max:
-            check_head_sum(spec, n, total, den)
-            if not exact:
-                raise RuntimeError(
-                    f"{spec.literal()}: the alpha cover disagrees with S_{n}"
-                )
-        yield kernel.leading_depths(nums[:n], depth)
+        if n >= n_min:
+            exact = (den - total) * scale == rest
+            if not exact or n == n_max:
+                check_head_sum(spec, n, total, den)
+                if not exact:
+                    raise RuntimeError(
+                        f"{spec.literal()}: the alpha cover disagrees with S_{n}"
+                    )
+            rest, scale = den - total, 1
+        if n > tail and nums[n - 1] * d != nums[n - 2] * c:
+            raise RuntimeError(
+                f"{spec.literal()}: p_{n}/p_{n - 1} is not the alpha cover's tail "
+                f"ratio {c}/{d}"
+            )
+        if n >= n_min:
+            yield kernel.leading_depths(nums[:n], depth) if n <= tail else next(frontier)
 
 
 def truncation_sequence(spec: SourceSpec, n_min: int, n_max: int) -> list[LengthVector]:

@@ -15,32 +15,54 @@ Everything else follows from those two lists: merge m pops the queued sums
 between its two heads, and its other pops are the next unmerged leaves,
 largest index first.  :func:`run_merges` derives depths and insertion
 indices after the loop; :func:`leading_depths` walks from the root down
-only as far as the first d leaves.
+only as far as the first d leaves.  Those two lists are also the whole
+state of the loop, so a run can stop before a bound and resume later.
+
+:func:`tail_depths` codes a sequence of truncations with one shared run
+(Gallager and Van Voorhis, 1975, for the self-similar structure).  When the
+weights from p_L on shrink by a constant ratio c/d, the tail
+V_n = {p_L, ..., p_n} of truncation n obeys V_(n+1) = {p_L} + (c/d)*V_n.  A
+merge whose sum is below p_L pops two tail items below p_L, never p_L or a
+head weight, so the merges of V_n below p_L, scaled by c/d, are the first
+merges of V_(n+1).  The frontier is what they leave: the unmerged tail
+leaves, always p_L onward, and the queued sums.  Stepping it to n + 1
+scales the queued sums by c/d, an exact integer division because each is a
+sum of tail weights p_j with j <= n and p_j*c/d = p_(j+1); then p_L joins
+as the largest leaf and the run resumes up to the bound p_L.  Any two
+frontier items sum to at least p_L, and together they hold the tail's mass,
+below p_L/(1 - c/d), so there are at most min(n, 2/(1 - c/d) + 1) of them.
+Truncation n is finished from the head weights plus the frontier, and the
+finishing merges are then dropped from the shared record.
 """
 
 from __future__ import annotations
 
 
-def _merge(nums, steps, bound=None):
-    """Up to `steps` merges, stopping before the first merge sum >= `bound`.
-
-    Returns ``(sums, heads)``: ``sums[m]`` is the sum merge m (0-based)
-    created, node ``n + m``, and ``heads[m]`` the number of sums merged
-    before merge m, so ``heads[-1]`` is the queue head after the last merge.
-    Before merge m, ``n - 2*m + heads[m]`` leaves are not yet merged.
+def _leaves(nums):
+    """The leaf list :func:`_merge` reads: ``[top, *nums]``, where the
+    sentinel ``top`` is above every weight and every sum of them, so neither
+    the leaves (read from the right) nor the queue needs an exhaustion test.
     """
-    n = len(nums)
-    # a sentinel above every weight ends both the leaves (read from the
-    # right) and the queue, so neither needs an exhaustion test
-    top = nums[0] * n + 1 if nums else 1
-    if bound is None:
-        bound = top
-    leaves = [top, *nums]
-    sums = [top] * steps
-    heads = [0]
-    leaf = n
-    head = 0
-    for m in range(steps):
+    return [nums[0] * len(nums) + 1 if nums else 1, *nums]
+
+
+def _merge(leaves, n, sums, heads, steps, bound):
+    """Resume the merge loop over the weights ``leaves[1..n]`` for up to
+    `steps` merges, stopping before the first merge sum >= `bound`.
+
+    The run so far is in ``sums`` and ``heads``, both extended in place:
+    ``sums[m]`` is the sum merge m (0-based) created, node ``n + m``, and
+    ``heads[m]`` the number of sums merged before merge m, so ``heads[-1]``
+    is the queue head after the last merge and the queue is
+    ``sums[heads[-1]:]``.  Before merge m, ``n - 2*m + heads[m]`` leaves are
+    not yet merged.  ``leaves[0]`` is the sentinel of :func:`_leaves`.
+    """
+    top = leaves[0]
+    m = len(sums)
+    head = heads[-1]
+    leaf = n - 2 * m + head
+    sums += [top] * steps
+    for m in range(m, m + steps):
         x = leaves[leaf]
         y = sums[head]
         if x <= y:
@@ -56,11 +78,19 @@ def _merge(nums, steps, bound=None):
         else:
             head += 1
             s += x
-        if s >= bound:  # put the pair back
-            del sums[m:]
+        if s >= bound:  # put the pair back: the state is sums and heads
             break
         sums[m] = s
         heads.append(head)
+    del sums[len(heads) - 1 :]
+
+
+def _run(nums, steps, bound=None):
+    """``(sums, heads)`` of up to `steps` merges from the sorted weights,
+    stopping before the first merge sum >= `bound` (none by default)."""
+    leaves = _leaves(nums)
+    sums, heads = [], [0]
+    _merge(leaves, len(nums), sums, heads, steps, leaves[0] if bound is None else bound)
     return sums, heads
 
 
@@ -102,7 +132,7 @@ def run_merges(nums):
     n = len(nums)
     if n < 2:
         raise ValueError("need at least two weights")
-    sums, heads = _merge(nums, n - 1)
+    sums, heads = _run(nums, n - 1)
     ks = []
     above = n  # leaves nums[:above] exceed the latest merge sum
     for s in sums:
@@ -124,7 +154,7 @@ def leading_depths(nums, d):
     if n < 2:
         raise ValueError("need at least two weights")
     d = min(d, n)
-    return _leaf_depths(n, _merge(nums, n - 1)[1], d)[:d]
+    return _leaf_depths(n, _run(nums, n - 1)[1], d)[:d]
 
 
 def state_after(nums, steps):
@@ -132,7 +162,7 @@ def state_after(nums, steps):
     n = len(nums)
     if not 0 <= steps <= n - 1:
         raise ValueError(f"steps must be in [0, {n - 1}], got {steps}")
-    return _state(nums, *_merge(nums, steps))
+    return _state(nums, *_run(nums, steps))
 
 
 def merge_until(nums, bound):
@@ -143,5 +173,36 @@ def merge_until(nums, bound):
     ``bound = nums[0]`` that is the delta occasion: ``steps`` counts the
     merge sums below the top weight, without running the rest.
     """
-    sums, heads = _merge(nums, max(len(nums) - 1, 0), bound)
+    sums, heads = _run(nums, max(len(nums) - 1, 0), bound)
     return len(sums), _state(nums, sums, heads)
+
+
+def tail_depths(nums, tail, c, d, n_min, depth):
+    """Leading depths, as :func:`leading_depths` gives them, of the
+    truncations ``nums[:n]`` for n = max(n_min, tail + 1) .. len(nums), one
+    list per n, when the weights from ``nums[tail - 1]`` on shrink by the
+    ratio c/d: ``nums[j + 1] * d == nums[j] * c`` for every j >= tail - 1.
+
+    The truncations share one merge frontier (see the module docstring), so
+    each n costs O(tail + d/(d - c)) merges rather than n.  Truncation n
+    uses only ``nums[:n]`` and is coded only when it is asked for, so a
+    caller may check each weight against the ratio as the sweep goes.
+    """
+    if len(nums) <= tail:
+        return
+    leaves = _leaves(nums)
+    top = leaves[0]
+    bound = leaves[tail]  # the largest tail weight
+    sums, heads = [], [0]  # the tail merges shared by every truncation
+    for n in range(tail + 1, len(nums) + 1):
+        live = heads[-1]
+        sums[live:] = [s * c // d for s in sums[live:]]
+        # the tail holds n - tail + 1 - len(sums) items; the bound keeps
+        # the largest tail weight, so at most that many less one can merge
+        _merge(leaves, n, sums, heads, n - tail - len(sums), bound)
+        if n >= n_min:
+            shared = len(sums)
+            _merge(leaves, n, sums, heads, n - 1 - shared, top)
+            depths = _leaf_depths(n, heads, min(depth, n))[:depth]
+            del sums[shared:], heads[shared + 1 :]
+            yield depths

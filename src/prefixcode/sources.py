@@ -38,6 +38,13 @@ from prefixcode.numutil import common_numerators, exact_fraction, rat_str
 # work grows faster than n.
 MAX_TRUNCATION = 4096
 
+# Largest shared denominator, in bits, that a source prefix may need.  The
+# exponent cap bounds one rational, not the n terms built from it: geom:
+# with a 10**-100000 ratio needs 332k bits per term.  2**18 admits every
+# prefix the tests and the benchmark build; the largest, a 10**-4400 ratio
+# at n = 12, needs about 175k bits.
+MAX_DENOMINATOR_BITS = 1 << 18
+
 
 @dataclass(frozen=True)
 class AlphaVector:
@@ -135,7 +142,7 @@ class SourceSpec:
         raise NotImplementedError
 
     def literal(self) -> str:
-        """Human-readable spec literal for report echoes."""
+        """Human-readable spec literal for report echoes, exact at any size."""
         raise NotImplementedError
 
     def _check_index(self, i: int) -> None:
@@ -179,7 +186,7 @@ class Geometric(SourceSpec):
         return AlphaVector((self.ratio,))
 
     def literal(self) -> str:
-        return f"geom:{self.ratio}"
+        return f"geom:{rat_str(self.ratio)}"
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,7 @@ class AlphaSequence(SourceSpec):
         return AlphaVector(self.alphas)
 
     def literal(self) -> str:
-        return "alpha:[" + ",".join(str(a) for a in self.alphas) + "]"
+        return "alpha:[" + ",".join(map(rat_str, self.alphas)) + "]"
 
 
 @dataclass(frozen=True)
@@ -314,8 +321,8 @@ class ExplicitHead(SourceSpec):
         return AlphaVector(tuple(alphas))
 
     def literal(self) -> str:
-        head = ",".join(str(p) for p in self.head)
-        return f"head:[{head}]+geom:{self.ratio}"
+        head = ",".join(map(rat_str, self.head))
+        return f"head:[{head}]+geom:{rat_str(self.ratio)}"
 
 
 def check_head_sum(spec: SourceSpec, n: int, total: int, den: int) -> None:
@@ -323,6 +330,24 @@ def check_head_sum(spec: SourceSpec, n: int, total: int, den: int) -> None:
     sn = spec.head_sum(n)
     if total * sn.denominator != sn.numerator * den:
         raise NotNormalizedError(Fraction(total, den) / sn)
+
+
+def check_denominator_bits(spec: SourceSpec, n: int) -> None:
+    """Raise :class:`OutOfRangeError` before the first n probabilities are
+    built if their shared denominator could pass MAX_DENOMINATOR_BITS bits.
+
+    p_m = alpha_m * prod_{j<m}(1 - alpha_j), so every p_m with m <= n is a
+    fraction over the product of the alpha denominators up to n, whose bits
+    are at most the sum of theirs.
+    """
+    alphas = spec.alphas_cover().alphas
+    bits = sum(a.denominator.bit_length() for a in alphas[:n])
+    bits += max(n - len(alphas), 0) * alphas[-1].denominator.bit_length()
+    if bits > MAX_DENOMINATOR_BITS:
+        raise OutOfRangeError(
+            f"the first {n} probabilities need a denominator of up to {bits} bits, "
+            f"which exceeds the limit of {MAX_DENOMINATOR_BITS} bits"
+        )
 
 
 def truncate(spec: SourceSpec, n: int) -> FiniteDistribution:
@@ -335,6 +360,7 @@ def truncate(spec: SourceSpec, n: int) -> FiniteDistribution:
         raise OutOfRangeError(f"truncation needs n >= 2, got {n}")
     if n > MAX_TRUNCATION:
         raise OutOfRangeError(f"truncation size {n} exceeds the limit {MAX_TRUNCATION}")
+    check_denominator_bits(spec, n)
     nums, den = common_numerators(spec.prefix_probs(n))
     total = sum(nums)
     dist = FiniteDistribution(nums, total)

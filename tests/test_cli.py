@@ -187,6 +187,17 @@ def test_huge_out_of_range_rational_is_input_error(capsys, argv):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("literal", ["geom:1e-5000", "alpha:[1/2,1e-5000]"])
+def test_huge_ratio_renders_in_the_converge_report(capsys, literal):
+    # the report echoes the spec literal, whose denominator has more digits
+    # than the int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    report, _ = run_json(capsys, ["converge", "--spec", literal, "--depth", "1",
+                                  "--nmax", "8", "--window", "4"])
+    assert report["results"]["spec"] == literal.replace("1e-5000", "1/1" + "0" * 5000)
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize("argv", [
     ["classify-l1", "1e-1000000000"],
     ["converge", "--spec", "geom:1e-1000000000", "--depth", "1"],
@@ -201,6 +212,22 @@ def test_exponent_past_its_cap_exits_2_at_once(capsys, tmp_path, argv):
     assert run([arg.format(path) for arg in argv]) == 2
     assert time.perf_counter() - start < 1.0
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["converge", "--spec", "geom:1e-100000", "--depth", "2", "--nmax", "64"], 21260352),
+    (["anti-uniform", "alpha:[1/2,1e-100000]"], 16609652),
+    (["analyze", "geom:1e-100000", "--truncate", "8"], 2657544),
+], ids=["converge", "anti-uniform", "analyze"])
+def test_denominator_past_its_cap_exits_2_at_once(capsys, argv, bits):
+    # each literal is under the exponent cap, but the source's terms built
+    # from it would need a denominator of millions of bits
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"up to {bits} bits" in err
+    assert "exceeds the limit of 262144 bits" in err
 
 
 @pytest.mark.parametrize("literal, message", [
@@ -352,20 +379,25 @@ class TestConverge:
         assert rows[1].startswith("2,")
 
     def test_csv_reuses_the_report_sweep(self, capsys, tmp_path, monkeypatch):
-        sizes = []
-        leading_depths = kernel.leading_depths
+        sweeps, coded = [], []
+        tail_depths = kernel.tail_depths
 
         def counting(nums, *args, **kwargs):
-            sizes.append(len(nums))
-            return leading_depths(nums, *args, **kwargs)
+            sweeps.append(len(nums))
+            for depths in tail_depths(nums, *args, **kwargs):
+                coded.append(depths)
+                yield depths
 
-        monkeypatch.setattr(kernel, "leading_depths", counting)
+        monkeypatch.setattr(kernel, "tail_depths", counting)
         run_json(
             capsys,
             ["converge", "--spec", "geom:1/4", "--depth", "2", "--nmax", "48",
              "--window", "8", "--csv", str(tmp_path / "series.csv")],
         )
-        assert sizes == list(range(2, 49))  # one kernel run per n, nmax - 1 in all
+        # geom:1/4 is geometric from p_1, so every n = 2..48 comes from one
+        # frontier sweep over the n = 48 prefix, nmax - 1 truncations in all
+        assert sweeps == [48]
+        assert len(coded) == 47
 
     def test_finite_source_rejected(self, capsys, dist_file):
         assert run(["converge", "--spec", f"file:{dist_file}", "--depth", "1"]) == 2
@@ -383,9 +415,10 @@ class TestConverge:
         assert err.rstrip().endswith("raise --nmax")
 
     def test_contradicting_kernel_exits_1(self, capsys, monkeypatch):
-        leading_depths = kernel.leading_depths
-        monkeypatch.setattr(kernel, "leading_depths",
-                            lambda nums, d: [x + 1 for x in leading_depths(nums, d)])
+        tail_depths = kernel.tail_depths
+        monkeypatch.setattr(kernel, "tail_depths",
+                            lambda *args: ([x + 1 for x in depths]
+                                           for depths in tail_depths(*args)))
         assert run(["converge", "--spec", "geom:1/4", "--depth", "1", "--nmax", "64",
                     "--window", "16"]) == 1
         assert "symbol 1: observed 3 contradicts certified 2" in capsys.readouterr().err

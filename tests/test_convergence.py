@@ -10,13 +10,15 @@ from prefixcode import (
     ExplicitHead,
     Geometric,
     anti_uniform_lengths,
+    check_infinite_tail,
     detect_stabilization,
     estimate_optimal_lengths,
     huffman_lengths,
+    kernel,
     truncate,
     truncation_sequence,
 )
-from prefixcode.convergence import CERTIFIED, EMPIRICAL, csv_rows
+from prefixcode.convergence import CERTIFIED, EMPIRICAL, _sweep, csv_rows
 from prefixcode.errors import (
     NotNormalizedError,
     NotSortedError,
@@ -24,7 +26,8 @@ from prefixcode.errors import (
     SymbolOutOfRangeError,
 )
 from prefixcode.fileio import parse_source
-from prefixcode.sources import AlphaVector
+from prefixcode.numutil import common_numerators
+from prefixcode.sources import MAX_DENOMINATOR_BITS, AlphaVector, check_denominator_bits
 
 
 class _WrongHeadSum(Geometric):
@@ -54,6 +57,19 @@ class _WrongProb(Geometric):
         probs = super().prefix_probs(n)
         if n >= self.k:
             probs[self.k - 1] *= F(1001, 1000)
+        return probs
+
+
+class _ShiftedPair(Geometric):
+    """Moves a thousandth of p_4 onto p_3: still sorted, and every S_n from
+    n = 4 on holds, but p_3/p_2 and p_4/p_3 are not the tail ratio."""
+
+    def prefix_probs(self, n):
+        probs = super().prefix_probs(n)
+        if n >= 4:
+            shift = probs[3] / 1000
+            probs[2] += shift
+            probs[3] -= shift
         return probs
 
 
@@ -140,6 +156,15 @@ class TestTruncationSequence:
         with pytest.raises(RuntimeError, match="alpha cover disagrees with S_2"):
             truncation_sequence(_WrongCover(F(1, 4)), 2, 8)
 
+    def test_prefix_breaking_its_tail_ratio_is_a_bug(self):
+        # S_n holds for every n >= 4, so from n_min = 4 on only the tail
+        # ratio check sees p_3; from n_min = 2 on, S_3 names the bad sum
+        spec = _ShiftedPair(F(1, 4))
+        with pytest.raises(RuntimeError, match=r"p_3/p_2 is not the alpha cover's tail ratio 3/4"):
+            truncation_sequence(spec, 4, 40)
+        with pytest.raises(NotNormalizedError):
+            truncation_sequence(spec, 2, 40)
+
     def test_unsorted_prefix_is_rejected(self):
         # a denominator past the int-to-str digit limit must still render in
         # the error message
@@ -159,6 +184,20 @@ class TestTruncationSequence:
             truncation_sequence(Geometric(F(1, 2)), 2, 4097)
         with pytest.raises(OutOfRangeError):
             truncate(Geometric(F(1, 2)), 4097)
+
+    def test_denominator_bits_cap(self):
+        # each term of a 1/2**63 ratio adds 64 bits to the estimate
+        check_denominator_bits(Geometric(F(1, 2**63)), MAX_DENOMINATOR_BITS // 64)
+        with pytest.raises(OutOfRangeError, match=f"limit of {MAX_DENOMINATOR_BITS} bits"):
+            check_denominator_bits(Geometric(F(1, 2**63)), MAX_DENOMINATOR_BITS // 64 + 1)
+        # refused before a term is built
+        huge = Geometric(F(1, 10**100000))
+        with pytest.raises(OutOfRangeError, match="up to 21260352 bits"):
+            truncate(huge, 64)
+        with pytest.raises(OutOfRangeError, match="up to 21260352 bits"):
+            truncation_sequence(huge, 2, 64)
+        with pytest.raises(OutOfRangeError, match="first 51 probabilities"):
+            check_infinite_tail(AlphaSequence((F(1, 2), F(1, 10**100000))), 50)
 
 
 class TestDetectStabilization:
@@ -298,3 +337,41 @@ def test_csv_rows_shape():
     assert rows[0] == ["n", "l_1", "l_2", "l_3", "l_4"]
     assert rows[1] == ["2", "1", "1", "", ""]
     assert rows[-1] == ["6", "1", "2", "3", "4"]
+
+
+def _per_n_depths(spec, n_min, n_max, depth):
+    """The sweep as it first ran: the kernel from scratch on every prefix."""
+    nums, _ = common_numerators(spec.prefix_probs(n_max))
+    return [kernel.leading_depths(nums[:n], depth) for n in range(n_min, n_max + 1)]
+
+
+def _random_alpha_spec(rng):
+    """An alpha list of length 1..6 with denominators up to 9 (many ties)."""
+    while True:
+        alphas = []
+        for _ in range(rng.randint(1, 6)):
+            q = rng.randint(2, 9)
+            alphas.append(F(rng.randint(1, q - 1), q))
+        try:
+            return AlphaSequence(tuple(alphas))
+        except NotSortedError:
+            continue
+
+
+def test_frontier_sweep_equals_per_n_kernel_on_random_alpha_lists(rng):
+    for _ in range(300):
+        spec = _random_alpha_spec(rng)
+        n_max = rng.randint(2, 160)
+        n_min = rng.choice((2, rng.randint(2, n_max)))
+        for depth in (rng.randint(1, n_max), n_max):
+            assert list(_sweep(spec, n_min, n_max, depth)) == _per_n_depths(
+                spec, n_min, n_max, depth
+            ), (spec.literal(), n_min, n_max, depth)
+
+
+@pytest.mark.parametrize(
+    "spec", SWEEP_SPECS + [Geometric(F(1, 2)), Geometric(F(3, 100))],
+    ids=lambda spec: spec.literal(),
+)
+def test_frontier_sweep_equals_per_n_kernel_at_512(spec):
+    assert list(_sweep(spec, 2, 512, 16)) == _per_n_depths(spec, 2, 512, 16)

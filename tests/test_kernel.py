@@ -240,3 +240,21 @@ def test_reference_equals_fraction_merge_step(rng):
 def test_leading_depths_rejects_single_weight():
     with pytest.raises(ValueError):
         kernel.leading_depths([7], 1)
+
+
+def test_tail_depths_equal_leading_depths_of_each_truncation(rng):
+    # a sorted head of small integers, then a tail of ratio c/d from nums[tail - 1]
+    for _ in range(200):
+        c, d = sorted(rng.sample(range(1, 10), 2))
+        size = rng.randint(1, 60)
+        tail = rng.randint(1, 5)
+        last = d**size * rng.randint(1, 3)
+        head = sorted((last + rng.randint(0, 2) * d**size for _ in range(tail - 1)),
+                      reverse=True)
+        nums = head + [last * c**j // d**j for j in range(size)]
+        n_min = rng.randint(2, max(2, len(nums)))
+        for depth in (1, 3, len(nums)):
+            assert list(kernel.tail_depths(nums, tail, c, d, n_min, depth)) == [
+                kernel.leading_depths(nums[:n], depth)
+                for n in range(max(n_min, tail + 1), len(nums) + 1)
+            ]
