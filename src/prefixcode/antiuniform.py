@@ -6,10 +6,11 @@ i.  The finite test is exact suffix-sum domination,
 
     p_{i+2} + ... + p_n <= p_i    for 1 <= i <= n-3,
 
-and the infinite test replaces the finite tail with the exact closed-form
-tail mass.  The alpha criterion certifies the infinite pattern from the
-conditional ratios alone: it suffices that (1-a_i)(1-a_{i+1}) <= a_i for
-all consecutive pairs, which a per-element polynomial threshold implies.
+and the infinite test replaces the finite tail with the exact tail mass
+1 - S_(i+1), confirmed against the source's closed form.  The alpha
+criterion certifies the infinite pattern from the conditional ratios
+alone: it suffices that (1-a_i)(1-a_{i+1}) <= a_i for all consecutive
+pairs, which a per-element polynomial threshold implies.
 The threshold is the algebraic root of (1-x)**2 = x; it is irrational, so
 it is never stored as a number and membership is decided by the exact sign
 of x**2 - 3x + 1.
@@ -29,6 +30,7 @@ from prefixcode.sources import (
     AlphaVector,
     SourceSpec,
     check_denominator_bits,
+    check_head_sum,
     coerce_alphas,
     truncate,
 )
@@ -68,17 +70,27 @@ def check_finite(dist: FiniteDistribution) -> AntiUniformVerdict:
 
 
 def check_infinite_tail(spec: SourceSpec, depth: int) -> AntiUniformVerdict:
-    """Exact infinite-tail test for all 1 <= i <= depth."""
+    """Exact infinite-tail test for all 1 <= i <= depth.
+
+    Runs on the integer prefix p_1..p_(depth+1) over its denominator: the
+    tail after symbol i + 1 is den minus the running head sum.  That head
+    sum is checked against the family's closed form S_(i+1) at the index
+    reported, or at depth + 1 when the test holds.
+    """
     if depth < 1:
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
     if depth > MAX_DEPTH:
         raise OutOfRangeError(f"depth {depth} exceeds the limit {MAX_DEPTH}")
     check_denominator_bits(spec, depth + 1)
-    probs = spec.prefix_probs(depth)
+    nums, den = spec.prefix_numerators(depth + 1)
+    head = nums[0]
     for i in range(1, depth + 1):
-        tail = spec.tail_after(i + 1)
-        if tail > probs[i - 1]:
-            return AntiUniformVerdict(False, i, (tail, probs[i - 1]))
+        head += nums[i]
+        if den - head > nums[i - 1]:
+            check_head_sum(spec, i + 1, head, den)
+            return AntiUniformVerdict(
+                False, i, (Fraction(den - head, den), Fraction(nums[i - 1], den)))
+    check_head_sum(spec, depth + 1, head, den)
     return AntiUniformVerdict(True)
 
 

@@ -84,6 +84,11 @@ def _code(dist: FiniteDistribution, traced: bool) -> tuple[LengthVector, MergeTr
     if not traced:
         return huffman_lengths(dist), None
     lengths, trace = huffman(dist)
+    floor = trace.json_size_floor()  # rules out most oversized traces unrendered
+    if floor > MAX_TRACE_BYTES:
+        raise OutOfRangeError(
+            f"--trace would write at least {floor} bytes, which exceeds the limit "
+            f"{MAX_TRACE_BYTES}")
     size = trace.json_size()
     if size > MAX_TRACE_BYTES:
         raise OutOfRangeError(

@@ -14,6 +14,7 @@ canonical codeword assignment) and labels each entry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile, zip_longest
 from typing import Iterator, Sequence
 
 from prefixcode import kernel
@@ -24,7 +25,7 @@ from prefixcode.errors import OutOfRangeError, SymbolOutOfRangeError
 # tests rebind it under this name
 from prefixcode.huffman import LengthVector, huffman_lengths  # noqa: F401
 from prefixcode.intervals import classify_l1, classify_l1_infinite
-from prefixcode.numutil import common_numerators, rat_str
+from prefixcode.numutil import rat_str
 from prefixcode.sources import (
     MAX_TRUNCATION,
     SourceSpec,
@@ -44,8 +45,9 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[lis
     in order (all n lengths where depth >= n).
 
     Merging is scale-invariant, so truncation n codes the integer prefix
-    ``nums[:n]`` of the n_max prefix over one shared denominator instead of
-    renormalizing by S_n; the lengths equal those of ``truncate(spec, n)``.
+    ``nums[:n]`` of the n_max prefix over one shared denominator (the
+    family's ``prefix_numerators``) instead of renormalizing by S_n; the
+    lengths equal those of ``truncate(spec, n)``.
     The checks a truncated distribution makes still hold: positivity and
     sortedness of the n_max prefix (every shorter prefix inherits them), and
     an exact partial sum S_n for every n.  S_n is 1 minus the product of
@@ -78,7 +80,7 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[lis
             f"need 2 <= n_min <= n_max <= {MAX_TRUNCATION}, got [{n_min}, {n_max}]"
         )
     check_denominator_bits(spec, n_max)
-    nums, den = common_numerators(spec.prefix_probs(n_max))
+    nums, den = spec.prefix_numerators(n_max)
     check_weights(nums, sum(nums))
     cover = spec.alphas_cover().alphas
     factors = [(a.denominator - a.numerator, a.denominator) for a in cover]
@@ -202,12 +204,22 @@ def csv_rows(seq: Sequence[Sequence[int]], depth: int, n_min: int = 2) -> list[l
     """Plot-ready rows (n, l_1..l_depth); blank where symbol > n."""
     header = ["n"] + [f"l_{i}" for i in range(1, depth + 1)]
     rows = [header]
-    for off, vec in enumerate(seq):
-        n = n_min + off
-        rows.append(
-            [str(n)] + [str(vec[i - 1]) if i <= len(vec) else "" for i in range(1, depth + 1)]
-        )
+    for n, vec in enumerate(seq, start=n_min):
+        rows.append([str(n), *map(str, vec[:depth]), *[""] * (depth - len(vec))])
     return rows
+
+
+def _final_run_starts(seq: Sequence[Sequence[int]], n_min: int = 2) -> list[int]:
+    """For each symbol s that the last entry of ``seq`` holds, the first n
+    of the run of equal lengths of s that ends there (n counted as in
+    :func:`detect_stabilization`); an entry too short to hold s ends the
+    run."""
+    starts = []
+    # one transposed copy; 0, which no code length is, where s > len(vec)
+    for column in zip_longest(*seq, fillvalue=0):
+        run = takewhile(column[-1].__eq__, reversed(column))
+        starts.append(n_min + len(column) - len(list(run)))
+    return starts
 
 
 def _check_window_top(spec: SourceSpec, stab: Stabilization, k: int) -> None:
@@ -259,6 +271,7 @@ def estimate_optimal_lengths(
     classification = classify_l1_infinite(spec)
     skewed = alpha_criterion(spec.alphas_cover())
 
+    since = _final_run_starts(seq)
     reports = []
     for symbol in range(1, depth + 1):
         stab = detect_stabilization(seq, symbol, window)
@@ -281,13 +294,8 @@ def estimate_optimal_lengths(
                     f"symbol {symbol}: observed {stab.length} contradicts "
                     f"certified {certified_value}"
                 )
-        stable_since = None
-        if stab.stabilized:
-            stable_since = n_max - window + 1
-            idx = len(seq) - window - 1
-            while idx >= 0 and symbol <= len(seq[idx]) and seq[idx][symbol - 1] == stab.length:
-                stable_since = 2 + idx
-                idx -= 1
+        # the window lies inside the final run of a stabilized length
+        stable_since = since[symbol - 1] if stab.stabilized else None
         witness = None
         if not stab.stabilized:
             changes = [stab.observed[0]]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from prefixcode import kernel
 from prefixcode.distributions import FiniteDistribution, Weights, check_weights
@@ -126,21 +126,37 @@ class MergeTrace:
 
     def json_size(self) -> int:
         """The length of :meth:`iter_json_lines`, newlines included, in
-        characters (they are ASCII, so bytes too), without rendering a line.
-
-        The rendered lengths of the state are replayed as the weights are,
-        and their total is updated by the two popped and the one merged.
-        """
+        characters (they are ASCII, so bytes too), without rendering a line."""
         rendered = self._rendered
-        widths = [len(rendered[v]) for v in self.nums]
+        return self._size(lambda v: len(rendered[v]))
+
+    def json_size_floor(self) -> int:
+        """A lower bound on :meth:`json_size` from bit lengths alone, with no
+        weight rendered; below it whenever a state holds a weight under 1.
+
+        Each weight counts only its two quotes and the digits of its reduced
+        denominator.  For v < den that denominator is b = den/gcd(v, den) >=
+        den/v > 2**t, t = den.bit_length() - 1 - v.bit_length(), so it has at
+        least floor(t * log10(2)) + 1 digits; the weight den renders as
+        ``"1"``.
+        """
+        bits = self.den.bit_length() - 1
+        # 30102999/10**8 < log10(2)
+        return self._size(lambda v: 3 + max(bits - v.bit_length(), 0) * 30102999 // 10**8)
+
+    def _size(self, width: Callable[[int], int]) -> int:
+        """The trace's length with each weight v taking ``width(v)``
+        characters: the widths of the state are replayed as the weights are,
+        and their total is updated by the two popped and the one merged."""
+        widths = [width(v) for v in self.nums]
         state = sum(widths)
         size = 0
         for m, (k, s) in enumerate(zip(self.ks, self.sums), start=1):
-            width = len(rendered[s])
-            state += width - widths.pop() - widths.pop()
-            widths.insert(k - 1, width)
+            merged = width(s)
+            state += merged - widths.pop() - widths.pop()
+            widths.insert(k - 1, merged)
             # the c = n - m state entries add c - 1 separators
-            size += (_RECORD_FIXED + len(str(m)) + len(str(k)) + width + state
+            size += (_RECORD_FIXED + len(str(m)) + len(str(k)) + merged + state
                      + len(_STATE_SEP) * (len(widths) - 1))
         return size
 

@@ -14,12 +14,21 @@ The alpha view writes a distribution through its conditional tail ratios
 so that p_m = alpha_m * prod_{j<m}(1 - alpha_j) and the mass left after the
 first n symbols is prod_{j<=n}(1 - alpha_j).  A constant alpha reproduces
 the geometric family.
+
+Each family's ``prefix_numerators(n)`` is its source of truth for p_1..p_n:
+integer numerators over the product of the alpha denominators up to n (the
+bound of :func:`check_denominator_bits`; not always lowest terms), each
+stepped from the one before, p_(m+1) = p_m * alpha_(m+1) * (1 - alpha_m) /
+alpha_m, by a small integer product and an exact division.
+``prefix_probs(n)`` is a ``Fraction`` view over it that no computation in
+the package reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from prefixcode.distributions import FiniteDistribution
@@ -31,7 +40,7 @@ from prefixcode.errors import (
     PrefixMassReachesOneError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import common_numerators, exact_fraction, rat_str
+from prefixcode.numutil import exact_fraction, rat_str
 
 # Largest truncation size coded: `analyze`/`delta --truncate` and the
 # `converge` sweep's n_max.  The shared denominator grows with n, so the
@@ -120,9 +129,16 @@ class SourceSpec:
         """Exact p_i for a 1-based symbol index."""
         raise NotImplementedError
 
-    def prefix_probs(self, n: int) -> list[Fraction]:
-        """Exact [p_1, ..., p_n]."""
+    def prefix_numerators(self, n: int) -> tuple[list[int], int]:
+        """Integers [v_1, ..., v_n] and den with p_i = v_i / den exactly,
+        for n >= 1; den divides the product of the alpha denominators up
+        to n and need not be in lowest terms."""
         raise NotImplementedError
+
+    def prefix_probs(self, n: int) -> list[Fraction]:
+        """Exact [p_1, ..., p_n], a view over :meth:`prefix_numerators`."""
+        nums, den = self.prefix_numerators(n)
+        return [Fraction(v, den) for v in nums]
 
     def head_sum(self, n: int) -> Fraction:
         """Exact S_n = p_1 + ... + p_n."""
@@ -166,13 +182,13 @@ class Geometric(SourceSpec):
         self._check_index(i)
         return self.ratio * (1 - self.ratio) ** (i - 1)
 
-    def prefix_probs(self, n: int) -> list[Fraction]:
-        probs = []
-        p = self.ratio
-        for _ in range(n):
-            probs.append(p)
-            p *= 1 - self.ratio
-        return probs
+    def prefix_numerators(self, n: int) -> tuple[list[int], int]:
+        self._check_index(n)
+        a, d = self.ratio.numerator, self.ratio.denominator
+        return _geometric_run([a * d ** (n - 1)], d - a, d, n - 1), d**n
+
+    # the view, bound per family: perfbench's tracer rebinds it by class
+    prefix_probs = SourceSpec.prefix_probs
 
     def head_sum(self, n: int) -> Fraction:
         self._check_index(n)
@@ -216,17 +232,21 @@ class AlphaSequence(SourceSpec):
         return self.alphas[min(i, len(self.alphas)) - 1]
 
     def prob(self, i: int) -> Fraction:
-        self._check_index(i)
-        return self.prefix_probs(i)[-1]
+        return self.alpha_at(i) * (self.tail_after(i - 1) if i > 1 else 1)
 
-    def prefix_probs(self, n: int) -> list[Fraction]:
-        probs = []
-        residual = Fraction(1)
-        for i in range(1, n + 1):
-            a = self.alpha_at(i)
-            probs.append(a * residual)
-            residual *= 1 - a
-        return probs
+    def prefix_numerators(self, n: int) -> tuple[list[int], int]:
+        self._check_index(n)
+        alphas, listed = self.alphas, len(self.alphas)
+        a, d = alphas[-1].numerator, alphas[-1].denominator
+        den = prod(x.denominator for x in alphas[:n]) * d ** max(n - listed, 0)
+        nums = [den // alphas[0].denominator * alphas[0].numerator]
+        for x, y in zip(alphas, alphas[1:n]):
+            # p_(m+1) = p_m * y * (1 - x) / x, exactly
+            nums.append(nums[-1] * y.numerator * (x.denominator - x.numerator)
+                        // (x.numerator * y.denominator))
+        return _geometric_run(nums, d - a, d, n - listed), den
+
+    prefix_probs = SourceSpec.prefix_probs
 
     def head_sum(self, n: int) -> Fraction:
         return 1 - self.tail_after(n)
@@ -291,14 +311,20 @@ class ExplicitHead(SourceSpec):
             return self.head[i - 1]
         return self._tail_mass() * self.ratio * (1 - self.ratio) ** (i - k - 1)
 
-    def prefix_probs(self, n: int) -> list[Fraction]:
-        k = len(self.head)
-        probs = list(self.head[:n])
-        p = self._tail_mass() * self.ratio
-        for _ in range(k, n):
-            probs.append(p)
-            p *= 1 - self.ratio
-        return probs
+    def prefix_numerators(self, n: int) -> tuple[list[int], int]:
+        self._check_index(n)
+        head, tail = self.head[:n], n - len(self.head)
+        lcd = lcm(*(p.denominator for p in head))
+        weights = [p.numerator * (lcd // p.denominator) for p in head]
+        if tail <= 0:
+            return weights, lcd
+        a, d = self.ratio.numerator, self.ratio.denominator
+        # over lcd * d**tail: the head, then the tail mass (lcd - sum(weights))/lcd
+        # times the ratio a/d, and so on by (d - a)/d
+        nums = [v * d**tail for v in weights] + [(lcd - sum(weights)) * a * d ** (tail - 1)]
+        return _geometric_run(nums, d - a, d, tail - 1), lcd * d**tail
+
+    prefix_probs = SourceSpec.prefix_probs
 
     def head_sum(self, n: int) -> Fraction:
         self._check_index(n)
@@ -323,6 +349,16 @@ class ExplicitHead(SourceSpec):
     def literal(self) -> str:
         head = ",".join(map(rat_str, self.head))
         return f"head:[{head}]+geom:{rat_str(self.ratio)}"
+
+
+def _geometric_run(nums: list[int], c: int, d: int, count: int) -> list[int]:
+    """Append count terms to nums, each the one before it times c/d (an
+    exact division on a geometric prefix); return nums."""
+    v = nums[-1]
+    for _ in range(count):
+        v = v * c // d
+        nums.append(v)
+    return nums
 
 
 def check_head_sum(spec: SourceSpec, n: int, total: int, den: int) -> None:
@@ -354,14 +390,15 @@ def truncate(spec: SourceSpec, n: int) -> FiniteDistribution:
     """Keep the first n symbols and renormalize by the exact partial sum.
 
     The prefix's integer numerators over their own sum are the renormalized
-    distribution; that sum is then checked against S_n.
+    distribution (in lowest terms once stored); that sum is then checked
+    against S_n.
     """
     if n < 2:
         raise OutOfRangeError(f"truncation needs n >= 2, got {n}")
     if n > MAX_TRUNCATION:
         raise OutOfRangeError(f"truncation size {n} exceeds the limit {MAX_TRUNCATION}")
     check_denominator_bits(spec, n)
-    nums, den = common_numerators(spec.prefix_probs(n))
+    nums, den = spec.prefix_numerators(n)
     total = sum(nums)
     dist = FiniteDistribution(nums, total)
     check_head_sum(spec, n, total, den)

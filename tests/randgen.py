@@ -5,7 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from prefixcode import AlphaVector, FiniteDistribution, interval_for, validate
+from prefixcode import (
+    AlphaSequence,
+    AlphaVector,
+    ExplicitHead,
+    FiniteDistribution,
+    Geometric,
+    SourceSpec,
+    interval_for,
+    validate,
+)
+from prefixcode.errors import NotSortedError
 
 
 def random_distribution(rng: random.Random, n: int, scale: int = 10**6) -> FiniteDistribution:
@@ -100,3 +110,29 @@ def random_alpha_vector(
         hi_num = min(hi_milli, int(cap * 1000))
         alphas.append(Fraction(rng.randint(lo_milli, hi_num), 1000))
     return AlphaVector(tuple(alphas))
+
+
+def random_source(rng: random.Random) -> SourceSpec:
+    """A geometric, alpha-list or explicit-head source with small, mixed
+    denominators (ties included)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        q = rng.randint(2, 60)
+        return Geometric(Fraction(rng.randint(1, q - 1), q))
+    if kind == 1:
+        while True:
+            alphas = []
+            for _ in range(rng.randint(1, 6)):
+                q = rng.randint(2, 30)
+                alphas.append(Fraction(rng.randint(1, q - 1), q))
+            try:
+                return AlphaSequence(tuple(alphas))
+            except NotSortedError:
+                continue
+    # head w_i/total, tail mass rest/total, first tail entry at most w_k/total
+    weights = sorted((rng.randint(1, 20) for _ in range(rng.randint(1, 4))), reverse=True)
+    rest = rng.randint(1, 20)
+    total = sum(weights) + rest
+    cap = min(Fraction(1), Fraction(weights[-1], rest))
+    ratio = cap * Fraction(rng.randint(1, 99), 100)
+    return ExplicitHead(tuple(Fraction(w, total) for w in weights), ratio)

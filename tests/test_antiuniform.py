@@ -20,8 +20,14 @@ from prefixcode import (
     validate,
     verify_truncation_anti_uniform,
 )
-from prefixcode.errors import AlphaOutOfRangeError, NotSortedError, OutOfRangeError
-from randgen import random_alpha_vector, random_distribution, tie_heavy_distribution
+from prefixcode.errors import (
+    AlphaOutOfRangeError,
+    NotNormalizedError,
+    NotSortedError,
+    OutOfRangeError,
+)
+from randgen import random_alpha_vector, random_distribution, random_source, tie_heavy_distribution
+from test_sources import reference_prefix
 
 
 def reference_check_finite(dist):
@@ -81,7 +87,43 @@ class TestCheckFinite:
         assert check_finite(validate([F(1, 2), F(1, 2)])).holds
 
 
+def reference_check_infinite_tail(spec, depth):
+    """The infinite-tail test as first written: the ``Fraction`` prefix
+    against the closed-form tail mass after each index."""
+    probs = reference_prefix(spec, depth)
+    for i in range(1, depth + 1):
+        tail = spec.tail_after(i + 1)
+        if tail > probs[i - 1]:
+            return AntiUniformVerdict(False, i, (tail, probs[i - 1]))
+    return AntiUniformVerdict(True)
+
+
+class _ClaimsFullMass(Geometric):
+    """Claims S_n = 1 for every n >= 2, disagreeing with its own prefix."""
+
+    def head_sum(self, n):
+        return super().head_sum(n) if n < 2 else F(1)
+
+
 class TestCheckInfiniteTail:
+    def test_matches_the_fraction_reference(self, rng):
+        specs = [random_source(rng) for _ in range(120)]
+        specs += [AlphaSequence(random_alpha_vector(rng, rng.randint(1, 5)).alphas)
+                  for _ in range(40)]
+        violations = set()
+        for spec in specs:
+            depth = rng.randint(1, 200)
+            verdict = check_infinite_tail(spec, depth)
+            assert verdict == reference_check_infinite_tail(spec, depth), spec.literal()
+            violations.add(verdict.first_violation)
+        assert None in violations and 1 in violations and max(violations - {None}) > 1
+
+    def test_head_sum_is_checked_at_the_reported_index(self):
+        # holding: checked at depth + 1; violated at i = 1: checked at 2
+        for ratio in (F(1, 2), F(1, 5)):
+            with pytest.raises(NotNormalizedError):
+                check_infinite_tail(_ClaimsFullMass(ratio), 10)
+
     def test_geometric_half_holds(self):
         assert check_infinite_tail(Geometric(F(1, 2)), 50).holds
 

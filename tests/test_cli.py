@@ -1,6 +1,8 @@
 """CLI subcommands: JSON reports, consistency, exit codes."""
 
+import importlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -147,6 +149,24 @@ def test_trace_past_its_cap_exits_2_and_writes_nothing(capsys, tmp_path, monkeyp
     monkeypatch.setattr(cli, "MAX_TRACE_BYTES", size)
     run_json(capsys, argv + ["--trace", str(trace_path)])
     assert trace_path.stat().st_size == size
+
+
+def test_oversized_trace_is_refused_before_rendering(capsys, tmp_path, monkeypatch):
+    # the bit-length floor (3.0e9 bytes; 8.6e10 exactly) passes the cap, so
+    # no weight is rendered and the exact size is never computed
+    def unrendered(*args):
+        raise AssertionError("weights rendered")
+
+    monkeypatch.setattr(cli.MergeTrace, "json_size", unrendered)
+    monkeypatch.setattr(importlib.import_module("prefixcode.huffman"), "weight_strs", unrendered)
+    trace_path = tmp_path / "trace.jsonl"
+    argv = ["analyze", "alpha:[3/7,2/5,9/20]", "--truncate", "4096", "--trace", str(trace_path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: --trace would write at least \d+ bytes, which exceeds the "
+                        rf"limit {cli.MAX_TRACE_BYTES}\n", captured.err)
+    assert not trace_path.exists()
 
 
 class TestClassify:

@@ -18,7 +18,7 @@ from prefixcode import (
     truncate,
     truncation_sequence,
 )
-from prefixcode.convergence import CERTIFIED, EMPIRICAL, _sweep, csv_rows
+from prefixcode.convergence import CERTIFIED, EMPIRICAL, _final_run_starts, _sweep, csv_rows
 from prefixcode.errors import (
     NotNormalizedError,
     NotSortedError,
@@ -40,11 +40,11 @@ class _WrongHeadSum(Geometric):
 class _Unsorted(Geometric):
     """Swaps p_3 and p_4, keeping every partial sum from n = 4 on."""
 
-    def prefix_probs(self, n):
-        probs = super().prefix_probs(n)
+    def prefix_numerators(self, n):
+        nums, den = super().prefix_numerators(n)
         if n >= 4:
-            probs[2], probs[3] = probs[3], probs[2]
-        return probs
+            nums[2], nums[3] = nums[3], nums[2]
+        return nums, den
 
 
 @dataclass(frozen=True)
@@ -53,24 +53,26 @@ class _WrongProb(Geometric):
 
     k: int = 2
 
-    def prefix_probs(self, n):
-        probs = super().prefix_probs(n)
+    def prefix_numerators(self, n):
+        nums, den = super().prefix_numerators(n)
+        scaled = [v * 1000 for v in nums]
         if n >= self.k:
-            probs[self.k - 1] *= F(1001, 1000)
-        return probs
+            scaled[self.k - 1] = nums[self.k - 1] * 1001
+        return scaled, den * 1000
 
 
 class _ShiftedPair(Geometric):
     """Moves a thousandth of p_4 onto p_3: still sorted, and every S_n from
     n = 4 on holds, but p_3/p_2 and p_4/p_3 are not the tail ratio."""
 
-    def prefix_probs(self, n):
-        probs = super().prefix_probs(n)
+    def prefix_numerators(self, n):
+        nums, den = super().prefix_numerators(n)
         if n >= 4:
-            shift = probs[3] / 1000
-            probs[2] += shift
-            probs[3] -= shift
-        return probs
+            shift = nums[3]
+            nums, den = [v * 1000 for v in nums], den * 1000
+            nums[2] += shift
+            nums[3] -= shift
+        return nums, den
 
 
 class _WrongCover(Geometric):
@@ -337,6 +339,54 @@ def test_csv_rows_shape():
     assert rows[0] == ["n", "l_1", "l_2", "l_3", "l_4"]
     assert rows[1] == ["2", "1", "1", "", ""]
     assert rows[-1] == ["6", "1", "2", "3", "4"]
+
+
+def _reference_csv_rows(seq, depth, n_min=2):
+    """csv_rows as first written: one branch per cell."""
+    rows = [["n"] + [f"l_{i}" for i in range(1, depth + 1)]]
+    for off, vec in enumerate(seq):
+        rows.append([str(n_min + off)]
+                    + [str(vec[i - 1]) if i <= len(vec) else "" for i in range(1, depth + 1)])
+    return rows
+
+
+def _reference_stable_since(seq, symbol, window, length):
+    """The report's stable_since as first written: from the window's first
+    n, step back while the entry holds the symbol at the stabilized length."""
+    stable_since = 2 + len(seq) - window
+    idx = len(seq) - window - 1
+    while idx >= 0 and symbol <= len(seq[idx]) and seq[idx][symbol - 1] == length:
+        stable_since = 2 + idx
+        idx -= 1
+    return stable_since
+
+
+def _random_length_rows(rng):
+    """Rows for n = 2, 3, ... holding min(n, cap) lengths from 1..3 (long
+    equal runs), and a csv depth below, at or above cap."""
+    cap, depth = rng.randint(1, 10), rng.randint(1, 10)
+    seq = [tuple(rng.choice((1, 1, 1, 2, 3)) for _ in range(min(n, cap)))
+           for n in range(2, rng.randint(3, 40))]
+    return seq, depth
+
+
+def test_csv_rows_and_stable_since_match_their_first_versions(rng):
+    stabilized = 0
+    for _ in range(500):
+        seq, depth = _random_length_rows(rng)
+        assert csv_rows(seq, depth) == _reference_csv_rows(seq, depth)
+        assert csv_rows(seq, depth, 5) == _reference_csv_rows(seq, depth, 5)
+        since = _final_run_starts(seq)
+        window = rng.randint(1, len(seq))
+        for symbol in range(1, len(seq[-1]) + 1):
+            if symbol > len(seq) + 2 - window:
+                continue  # not in every window entry
+            stab = detect_stabilization(seq, symbol, window)
+            if stab.stabilized:
+                stabilized += 1
+                assert since[symbol - 1] == _reference_stable_since(
+                    seq, symbol, window, stab.length)
+    assert stabilized > 200
 
 
 def _per_n_depths(spec, n_min, n_max, depth):

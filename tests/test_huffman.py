@@ -284,6 +284,13 @@ class TestTraceRecord:
             _, trace = huffman(d)
             assert trace.json_size() == sum(len(line) + 1 for line in trace.iter_json_lines())
 
+    def test_json_size_floor_is_below_the_size(self, rng):
+        # equal only for n = 2, whose one line holds nothing but the weight 1
+        for d in trace_instances(rng):
+            _, trace = huffman(d)
+            floor, size = trace.json_size_floor(), trace.json_size()
+            assert floor < size if d.n > 2 else floor == size
+
     def test_states_and_insertions_match_merge_step(self, rng):
         for d in trace_instances(rng):
             _, trace = huffman(d)

@@ -11,10 +11,13 @@ from prefixcode import (
     AlphaVector,
     ExplicitHead,
     Geometric,
+    check_infinite_tail,
     from_alphas,
     to_alphas,
     truncate,
 )
+from prefixcode import sources
+from prefixcode.convergence import _sweep
 from prefixcode.errors import (
     AlphaOutOfRangeError,
     NotSortedError,
@@ -22,6 +25,7 @@ from prefixcode.errors import (
     PrefixMassReachesOneError,
     TooFewEntriesError,
 )
+from randgen import random_source
 
 alphas_strategy = st.lists(
     st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100),
@@ -177,3 +181,79 @@ class TestExplicitHead:
 def test_truncate_needs_two_symbols():
     with pytest.raises(OutOfRangeError):
         truncate(Geometric(F(1, 2)), 1)
+
+
+def reference_prefix(spec, n):
+    """The prefix as each family first built it: one ``Fraction`` per term,
+    stepped by ``Fraction`` products."""
+    if isinstance(spec, Geometric):
+        probs, p = [], spec.ratio
+        for _ in range(n):
+            probs.append(p)
+            p *= 1 - spec.ratio
+        return probs
+    if isinstance(spec, AlphaSequence):
+        probs, residual = [], F(1)
+        for i in range(1, n + 1):
+            a = spec.alpha_at(i)
+            probs.append(a * residual)
+            residual *= 1 - a
+        return probs
+    probs = list(spec.head[:n])
+    p = (1 - sum(spec.head)) * spec.ratio
+    for _ in range(len(spec.head), n):
+        probs.append(p)
+        p *= 1 - spec.ratio
+    return probs
+
+
+def test_prefix_numerators_match_the_fraction_reference(rng, monkeypatch):
+    cases = [(random_source(rng), rng.randint(1, 300)) for _ in range(150)]
+    cases += [(random_source(rng), rng.randint(1, 6)) for _ in range(50)]
+    cases += [(Geometric(F(1, 10**4400)), n) for n in (1, 2, 5, 12)]
+    for spec, n in cases:
+        nums, den = spec.prefix_numerators(n)
+        want = reference_prefix(spec, n)
+        assert [F(v, den) for v in nums] == want, (spec.literal(), n)
+        assert spec.prefix_probs(n) == want
+        assert spec.prob(n) == want[-1]
+        # den fits the estimate that check_denominator_bits caps: with the
+        # cap one bit below den's length, the estimate passes it
+        monkeypatch.setattr(sources, "MAX_DENOMINATOR_BITS", den.bit_length() - 1)
+        with pytest.raises(OutOfRangeError):
+            sources.check_denominator_bits(spec, n)
+        monkeypatch.undo()
+
+
+def test_prefix_numerators_need_a_symbol():
+    for spec in (Geometric(F(1, 2)), AlphaSequence((F(1, 2),)), ExplicitHead((F(1, 2),), F(1, 2))):
+        with pytest.raises(OutOfRangeError):
+            spec.prefix_numerators(0)
+
+
+@pytest.mark.parametrize("spec", [
+    Geometric(F(1, 4)),
+    AlphaSequence((F(3, 7), F(2, 5), F(9, 20))),
+    ExplicitHead((F(1, 3), F(1, 4)), F(1, 3)),
+], ids=lambda spec: spec.literal())
+def test_prefix_consumers_build_no_fraction_per_term(spec, monkeypatch):
+    # truncate, the convergence sweep and the infinite-tail test work on
+    # prefix_numerators; the few Fractions left are the closed-form S_n
+    # checks, the alpha cover and the anti-uniform witness.  Python 3.11
+    # makes every Fraction, arithmetic results included, through __new__;
+    # later versions build arithmetic results without it, so there the
+    # count is only a floor
+    new = F.__new__
+    for run in (lambda: truncate(spec, 300),
+                lambda: list(_sweep(spec, 2, 300, 16)),
+                lambda: check_infinite_tail(spec, 300)):
+        built = []
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        run()
+        monkeypatch.undo()
+        assert len(built) < 30
