@@ -8,16 +8,21 @@ Rationals are serialized as exact "a/b" strings; decimal renderings are
 explicitly labeled and always accompany an exact value.  Exit codes: 0 on
 success, 2 on input errors, 1 on internal invariant failure or when the
 reader of stdout closes it early.
+
+:func:`run` builds the argument parser on its first call and reuses it for
+every later call in the process; argparse keeps no state between parses.
+:func:`render_report` returns the string ``json.dumps(report, indent=2)``
+returns, without json's pure-Python encoder, which ``indent`` selects.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from prefixcode import __version__
@@ -334,19 +339,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# how a list whose items all have exactly one of these types renders them
+_FLAT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _render(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` renders it when nested
+    at ``indent``: the same string escape (json's ``ensure_ascii``) and int
+    repr, so also the same error past the int-to-str digit limit."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str raises TypeError in the escape
+        items = [encode_basestring_ascii(key) + ": " + _render(item, inner)
+                 for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        flat = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(flat, value) if flat else [_render(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_report(command: str, inputs: dict, results: dict, quiet: bool) -> str:
     report = {"command": command}
     if not quiet:
         report["inputs"] = inputs
     report["results"] = results
     report["provenance"] = PROVENANCE
-    return json.dumps(report, indent=2)
+    return _render(report, "")
+
+
+# built by the first run(): building it costs more than most commands, and
+# help and usage text read the terminal width when printed, not when built
+_parser: argparse.ArgumentParser | None = None
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -17,6 +17,19 @@ from prefixcode.fileio import read_distribution_file
 from test_huffman import reference_trace_lines
 
 
+@pytest.fixture(autouse=True)
+def reports_render_as_json_does(monkeypatch):
+    """Every report this module renders has the bytes json.dumps gives it."""
+    render = cli.render_report
+
+    def checked(*args):
+        text = render(*args)
+        assert text == json.dumps(json.loads(text), indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "render_report", checked)
+
+
 @pytest.fixture
 def dist_file(tmp_path):
     path = tmp_path / "dist.txt"
@@ -493,3 +506,106 @@ def test_console_script_installed(dist_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["lengths"] == [1, 2, 3, 3]
+
+
+def outcomes(capsys, argvs):
+    """(exit code, stdout, stderr) of each command, run in turn in this process."""
+    result = []
+    for argv in argvs:
+        code = run(argv)
+        result.append((code, *capsys.readouterr()))
+    return result
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("first, second", [
+        (["--quiet", "coverage-sum", "--terms", "2"], ["coverage-sum", "--terms", "2"]),
+        (["delta", "--truncate"], ["delta", "file:{dist}"]),
+        (["analyze", "file:{dist}", "--depth", "3"], ["classify-l1", "2/9"]),
+        (["--help"], ["delta", "file:{dist}"]),
+        (["converge", "--help"], ["coverage-sum"]),
+        (["analyze", "file:{dist}", "--trace", "{tmp}/t.jsonl"], ["analyze", "file:{dist}"]),
+        (["anti-uniform", "geom:1/2", "--depth", "7"], ["anti-uniform", "geom:1/2"]),
+    ])
+    def test_second_command_answers_as_on_a_fresh_parser(
+            self, capsys, monkeypatch, dist_file, tmp_path, first, second):
+        argvs = [[a.format(dist=dist_file, tmp=tmp_path) for a in argv]
+                 for argv in (first, second)]
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh += outcomes(capsys, [argv])
+        monkeypatch.setattr(cli, "_parser", None)
+        assert outcomes(capsys, argvs) == fresh
+        assert fresh[0][:2] != fresh[1][:2]
+
+    def test_help_reads_the_terminal_width_when_printed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        helps = []
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run(["--help"]) == 0
+            helps.append(capsys.readouterr().out)
+            assert helps[-1] == cli.build_parser().format_help()
+        assert helps[0] != helps[1]
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        build, calls = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in (["coverage-sum", "--terms", "2"], ["frobnicate"], ["classify-l1", "1/3"]):
+            run(argv)
+            run(argv)
+        assert len(calls) == 1
+
+
+# every escape class json.encoder tells apart: quote, backslash, control
+# characters, DEL, non-ASCII, line separators and an astral character
+_CHARS = 'az "\\/\x00\x1f\n\t\x7f\xe9\u20ac\u2028\U0001f600'
+
+
+def _random_value(rng, depth):
+    """A value of the types a report holds, containers nested up to ``depth``."""
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.randrange(10 ** rng.choice([1, 30, 4301]))
+    if kind in (2, 3):
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(8)))
+    if kind == 4:  # flat, one item type each
+        item = [lambda: rng.randint(-99, 99), lambda: rng.choice(_CHARS),
+                lambda: rng.random() < 0.5][rng.randrange(3)]
+        return [item() for _ in range(rng.randrange(6))]
+    if kind in (5, 6):
+        return [_random_value(rng, depth - 1) for _ in range(rng.randrange(5))]
+    return {"".join(rng.choices(_CHARS, k=rng.randrange(4))) + str(i):
+            _random_value(rng, depth - 1) for i in range(rng.randrange(5))}
+
+
+def _outcome(render, *args, **kwargs):
+    try:
+        return render(*args, **kwargs)
+    except ValueError as exc:  # past the int-to-str digit limit
+        return type(exc), str(exc)
+
+
+class TestRenderReport:
+    @pytest.mark.parametrize("digits", [4300, 0])
+    def test_random_reports_render_as_json_does(self, rng, digits):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digits)
+        try:
+            for _ in range(300):
+                results = _random_value(rng, 4)
+                report = {"command": "x", "inputs": {}, "results": results,
+                          "provenance": cli.PROVENANCE}
+                assert (_outcome(cli.render_report, "x", {}, results, False)
+                        == _outcome(json.dumps, report, indent=2))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("value", [0.5, (1, 2), F(1, 2), {1: "a"}, {"a": [1, {2}]}])
+    def test_unsupported_type_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli.render_report("x", {}, {"v": value}, False)
