@@ -13,6 +13,13 @@ reader of stdout closes it early.
 every later call in the process; argparse keeps no state between parses.
 :func:`render_report` returns the string ``json.dumps(report, indent=2)``
 returns, without json's pure-Python encoder, which ``indent`` selects.
+
+``--trace PATH`` refuses a trace file over MAX_TRACE_BYTES before the
+report is built, by the trace's O(1) ceiling, then its bit-length floor,
+then its exact size, each only when the one before cannot decide.  A
+traced report takes its ``probs`` from the trace's own rendering, so each
+weight is rendered once.  An output path is used whenever it is given,
+even when empty; a path that cannot be written exits 2.
 """
 
 from __future__ import annotations
@@ -85,11 +92,18 @@ def _write_trace(trace: MergeTrace, path: str) -> None:
 def _code(dist: FiniteDistribution, traced: bool) -> tuple[LengthVector, MergeTrace | None]:
     """Code lengths, from the one kernel run that also yields the trace
     when one is asked for; a trace longer than MAX_TRACE_BYTES is refused
-    before the report is built or the file opened."""
+    before the report is built or the file opened.
+
+    The sizes run from cheapest to exact: a trace whose O(1) ceiling is
+    within the cap is not sized further; otherwise the bit-length floor
+    refuses most oversized traces unrendered, and the exact size decides
+    the rest."""
     if not traced:
         return huffman_lengths(dist), None
     lengths, trace = huffman(dist)
-    floor = trace.json_size_floor()  # rules out most oversized traces unrendered
+    if trace.json_size_ceiling() <= MAX_TRACE_BYTES:
+        return lengths, trace
+    floor = trace.json_size_floor()
     if floor > MAX_TRACE_BYTES:
         raise OutOfRangeError(
             f"--trace would write at least {floor} bytes, which exceeds the limit "
@@ -99,6 +113,11 @@ def _code(dist: FiniteDistribution, traced: bool) -> tuple[LengthVector, MergeTr
         raise OutOfRangeError(
             f"--trace would write {size} bytes, which exceeds the limit {MAX_TRACE_BYTES}")
     return lengths, trace
+
+
+def _probs(dist: FiniteDistribution, trace: MergeTrace | None) -> list[str]:
+    """The rendered probabilities; a trace has rendered them already."""
+    return weight_strs(dist.nums, dist.den) if trace is None else trace.input_strs()
 
 
 def _delta_payload(dist: FiniteDistribution) -> dict:
@@ -131,11 +150,12 @@ def _classification_payload(p1: Fraction) -> dict:
     }
 
 
-def _analysis_payload(dist: FiniteDistribution, lengths: LengthVector) -> dict:
+def _analysis_payload(dist: FiniteDistribution, lengths: LengthVector,
+                      probs: list[str]) -> dict:
     verdict = check_finite(dist)
     payload = {
         "n": dist.n,
-        "probs": weight_strs(dist.nums, dist.den),
+        "probs": probs,
         "lengths": list(lengths),
         "codewords": list(canonical_codebook(lengths)),
         "expected_length": rat_str(expected_length(dist, lengths)),
@@ -155,8 +175,8 @@ def _analysis_payload(dist: FiniteDistribution, lengths: LengthVector) -> dict:
 
 def _cmd_analyze(args) -> tuple[dict, dict]:
     dist, inputs = _resolve_finite(args.source, args.truncate)
-    lengths, trace = _code(dist, bool(args.trace))
-    results = _analysis_payload(dist, lengths)
+    lengths, trace = _code(dist, args.trace is not None)
+    results = _analysis_payload(dist, lengths, _probs(dist, trace))
     if trace is not None:
         _write_trace(trace, args.trace)
         results["trace_file"] = args.trace
@@ -225,7 +245,7 @@ def _cmd_converge(args) -> tuple[dict, dict]:
         "window": args.window,
     }
     results = report.to_dict()
-    if args.csv:
+    if args.csv is not None:
         rows = csv_rows(report.length_prefixes, args.depth)
         Path(args.csv).write_text(
             "\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8"
@@ -250,14 +270,15 @@ def _cmd_counterexample(args) -> tuple[dict, dict]:
     epsilon = parse_rational(args.epsilon)
     dist = counterexample(args.family, epsilon)
     inputs = {"family": args.family, "epsilon": rat_str(epsilon)}
-    results: dict = {"probs": weight_strs(dist.nums, dist.den)}
-    if args.analyze or args.trace:
-        lengths, trace = _code(dist, bool(args.trace))
-        if args.analyze:
-            results["analysis"] = _analysis_payload(dist, lengths)
-        if trace is not None:
-            _write_trace(trace, args.trace)
-            results["trace_file"] = args.trace
+    traced = args.trace is not None
+    lengths, trace = _code(dist, traced) if args.analyze or traced else (None, None)
+    probs = _probs(dist, trace)
+    results: dict = {"probs": probs}
+    if args.analyze:
+        results["analysis"] = _analysis_payload(dist, lengths, probs)
+    if trace is not None:
+        _write_trace(trace, args.trace)
+        results["trace_file"] = args.trace
     return inputs, results
 
 

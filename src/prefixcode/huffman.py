@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from prefixcode import kernel
 from prefixcode.distributions import FiniteDistribution, Weights, check_weights
@@ -45,17 +45,28 @@ class MergeState(Weights):
         self._store()
 
 
-_STATE_SEP = ", "
+# between two state entries: each entry is rendered unquoted, and the
+# record puts the outer quotes around the joined list
+_STATE_SEP = '", "'
 
 
 def _record(m: object, k: object, merged: str, state: str) -> str:
-    """One trace line: merge m, its insertion index k, the rendered merged
-    weight and the rendered state entries joined by ``_STATE_SEP``."""
-    return f'{{"m": {m}, "k": {k}, "merged": {merged}, "state": [{state}]}}'
+    """One trace line: merge m, its insertion index k, the unquoted merged
+    weight and the unquoted state entries joined by ``_STATE_SEP``."""
+    return f'{{"m": {m}, "k": {k}, "merged": "{merged}", "state": ["{state}"]}}'
 
 
 # characters of a written trace line (with its newline) outside its fields
 _RECORD_FIXED = len(_record("", "", "", "") + "\n")
+
+
+def _digits_upto(n: int) -> int:
+    """The total number of decimal digits of 1, 2, ..., n."""
+    total, low = 0, 1
+    while low <= n:
+        total += n - low + 1  # every number from low on has one digit more
+        low *= 10
+    return total
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,13 @@ class MergeTrace:
     it pops and sits between its new neighbours, because the state before it
     was valid; that O(1) test stands in for the O(n) check, which runs only
     when the test fails, to raise the error it always raised.
+
+    The JSON lines render each distinct weight once (:meth:`input_strs`
+    hands the input weights' strings to a report) and replay a list of those
+    strings beside the integer one, so a line costs one join.  Three sizes
+    bound the lines before any is written, from cheapest to exact:
+    :meth:`json_size_ceiling` in O(1), :meth:`json_size_floor` from bit
+    lengths, and :meth:`json_size` from the rendered strings.
     """
 
     nums: tuple[int, ...]
@@ -118,56 +136,95 @@ class MergeTrace:
         )
 
     @cached_property
-    def _rendered(self) -> dict[int, str]:
-        """Each weight a state can hold (an input weight or a merged one),
-        rendered once as a quoted JSON string."""
+    def _strs(self) -> tuple[list[str], list[str]]:
+        """The input weights and the merged weights as
+        :func:`~prefixcode.numutil.weight_strs` renders them, unquoted, with
+        each distinct weight rendered once."""
         values = tuple(set(self.nums).union(self.sums))
-        return {v: f'"{text}"' for v, text in zip(values, weight_strs(values, self.den))}
+        rendered = dict(zip(values, weight_strs(values, self.den)))
+        return [rendered[v] for v in self.nums], [rendered[s] for s in self.sums]
+
+    def input_strs(self) -> list[str]:
+        """``weight_strs(nums, den)``, taken from the rendering the lines
+        use, so a report's ``probs`` renders no weight a second time."""
+        return list(self._strs[0])
 
     def json_size(self) -> int:
         """The length of :meth:`iter_json_lines`, newlines included, in
-        characters (they are ASCII, so bytes too), without rendering a line."""
-        rendered = self._rendered
-        return self._size(lambda v: len(rendered[v]))
+        characters (they are ASCII, so bytes too), without building a line."""
+        inputs, merged = self._strs
+        return self._size(list(map(len, inputs)), map(len, merged))
 
     def json_size_floor(self) -> int:
         """A lower bound on :meth:`json_size` from bit lengths alone, with no
         weight rendered; below it whenever a state holds a weight under 1.
 
-        Each weight counts only its two quotes and the digits of its reduced
-        denominator.  For v < den that denominator is b = den/gcd(v, den) >=
-        den/v > 2**t, t = den.bit_length() - 1 - v.bit_length(), so it has at
-        least floor(t * log10(2)) + 1 digits; the weight den renders as
-        ``"1"``.
+        Each weight counts only the digits of its reduced denominator and one
+        character more.  For v < den that denominator is b = den/gcd(v, den)
+        >= den/v > 2**t, t = den.bit_length() - 1 - v.bit_length(), so it has
+        at least floor(t * log10(2)) + 1 digits; the weight den renders as
+        ``1``.
         """
         bits = self.den.bit_length() - 1
-        # 30102999/10**8 < log10(2)
-        return self._size(lambda v: 3 + max(bits - v.bit_length(), 0) * 30102999 // 10**8)
 
-    def _size(self, width: Callable[[int], int]) -> int:
-        """The trace's length with each weight v taking ``width(v)``
-        characters: the widths of the state are replayed as the weights are,
-        and their total is updated by the two popped and the one merged."""
-        widths = [width(v) for v in self.nums]
+        def width(v: int) -> int:
+            # 30102999/10**8 < log10(2)
+            return 1 + max(bits - v.bit_length(), 0) * 30102999 // 10**8
+
+        return self._size([width(v) for v in self.nums], map(width, self.sums))
+
+    def json_size_ceiling(self) -> int:
+        """An upper bound on :meth:`json_size` in O(1): no replay, and no
+        weight rendered.
+
+        A weight a/b is at most 1 and b divides ``den``, so it renders in at
+        most 2d + 1 characters, d the digits of ``den``; den < 2**t, t its
+        bit length, gives d <= floor(t * log10(2)) + 1.  The state after
+        merge m holds c = n - m entries and its index k is at most c, so the
+        lines' c run over 1, ..., n-1 once each.
+        """
+        lines = len(self.ks)
+        # 30103/10**5 > log10(2)
+        width = 2 * (self.den.bit_length() * 30103 // 10**5 + 1) + 1
+        entries = lines * (lines + 1) // 2
+        sep = len(_STATE_SEP)
+        # per line: the fields outside the state, the merged weight, and
+        # the c entries with c - 1 separators; m and k each run over the
+        # digits of 1, ..., n-1
+        return (lines * (_RECORD_FIXED + width - sep) + 2 * _digits_upto(lines)
+                + entries * (width + sep))
+
+    def _size(self, widths: list[int], merged: Iterable[int]) -> int:
+        """The trace's length with the input weights taking ``widths`` and
+        the merged weights ``merged`` characters: the widths of the state are
+        replayed as the weights are, and their total is updated by the two
+        popped and the one merged."""
         state = sum(widths)
         size = 0
-        for m, (k, s) in enumerate(zip(self.ks, self.sums), start=1):
-            merged = width(s)
-            state += merged - widths.pop() - widths.pop()
-            widths.insert(k - 1, merged)
+        for m, (k, w) in enumerate(zip(self.ks, merged), start=1):
+            state += w - widths.pop() - widths.pop()
+            widths.insert(k - 1, w)
             # the c = n - m state entries add c - 1 separators
-            size += (_RECORD_FIXED + len(str(m)) + len(str(k)) + merged + state
+            size += (_RECORD_FIXED + len(str(m)) + len(str(k)) + w + state
                      + len(_STATE_SEP) * (len(widths) - 1))
         return size
 
     def iter_json_lines(self) -> Iterator[str]:
         """One JSON record per merge step, rationals rendered as strings,
-        produced one line at a time (the lines total O(n**2) characters)."""
+        produced one line at a time (the lines total O(n**2) characters).
+
+        The rendered state is a list of strings updated as the integer state
+        is replayed: the last two entries go and the merged one is inserted
+        at k.  The integer replay checks each state before its line."""
         states = self._replay()
-        next(states)  # m = 0 has no record
-        rendered = self._rendered
-        for m, (k, s, vals) in enumerate(zip(self.ks, self.sums, states), start=1):
-            yield _record(m, k, rendered[s], _STATE_SEP.join(map(rendered.__getitem__, vals)))
+        next(states)  # m = 0 has no record; this checks the input weights
+        inputs, merged = self._strs
+        texts = list(inputs)
+        join = _STATE_SEP.join
+        for m, (k, text, _) in enumerate(zip(self.ks, merged, states), start=1):
+            del texts[-2:]
+            texts.insert(k - 1, text)
+            yield _record(m, k, text, join(texts))
 
     def json_lines(self) -> list[str]:
         """All of :meth:`iter_json_lines` as a list."""

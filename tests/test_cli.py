@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from prefixcode import cli, classify_l1, counterexample, kernel
+from prefixcode import Geometric, cli, classify_l1, counterexample, kernel, truncate
 from prefixcode.cli import run
+from prefixcode.delta import delta_occasion
 from prefixcode.fileio import read_distribution_file
+from prefixcode.numutil import weight_strs
 from test_huffman import reference_trace_lines
 
 
@@ -130,17 +133,94 @@ class TestAnalyze:
     ["counterexample", "3", "--analyze"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_trace_size_is_the_bytes_written(capsys, dist_file, tmp_path, monkeypatch, argv):
-    sizes = []
-    json_size = cli.MergeTrace.json_size
+    # under the ceiling the command never asks for the exact size, so the
+    # trace it builds is captured and sized here
+    traces = []
+    build = cli.huffman
 
-    def recording(trace):
-        sizes.append(json_size(trace))
-        return sizes[-1]
+    def capturing(dist):
+        lengths, trace = build(dist)
+        traces.append(trace)
+        return lengths, trace
 
-    monkeypatch.setattr(cli.MergeTrace, "json_size", recording)
+    monkeypatch.setattr(cli, "huffman", capturing)
     trace_path = tmp_path / "trace.jsonl"
     run_json(capsys, [a.format(dist_file=dist_file) for a in argv] + ["--trace", str(trace_path)])
-    assert sizes == [trace_path.stat().st_size]
+    [trace] = traces
+    written = trace_path.stat().st_size
+    assert trace.json_size() == written
+    assert trace.json_size_ceiling() >= written
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "geom:1/4", "--truncate", "200"],
+    ["analyze", "alpha:[3/7,2/5,9/20]", "--truncate", "60"],
+    ["counterexample", "1", "--epsilon", "1/12", "--analyze"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_trace_under_its_ceiling_is_not_sized_further(capsys, tmp_path, monkeypatch, argv):
+    def unsized(*args):
+        raise AssertionError("trace sized past its ceiling")
+
+    monkeypatch.setattr(cli.MergeTrace, "json_size_floor", unsized)
+    monkeypatch.setattr(cli.MergeTrace, "json_size", unsized)
+    trace_path = tmp_path / "trace.jsonl"
+    report, _ = run_json(capsys, argv + ["--trace", str(trace_path)])
+    assert report["results"]["trace_file"] == str(trace_path)
+    assert trace_path.stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "file:{dist_file}"],
+    ["analyze", "geom:1/4", "--truncate", "100"],
+    ["analyze", "alpha:[3/7,2/5,9/20]", "--truncate", "60"],
+    ["counterexample", "1", "--epsilon", "1/12", "--analyze"],
+    ["counterexample", "3", "--analyze"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_traced_report_is_the_untraced_one_plus_its_file(capsys, dist_file, tmp_path, argv):
+    argv = [a.format(dist_file=dist_file) for a in argv]
+    trace_path = str(tmp_path / "trace.jsonl")
+    report, _ = run_json(capsys, argv)
+    _, traced = run_json(capsys, argv + ["--trace", trace_path])
+    report["results"]["trace_file"] = trace_path
+    assert traced == json.dumps(report, indent=2) + "\n"
+
+
+def test_traced_analyze_renders_each_input_weight_once(capsys, monkeypatch):
+    dist = truncate(Geometric(F(1, 4)), 64)
+    rendered = []
+    for module in (cli, importlib.import_module("prefixcode.huffman")):
+        render = module.weight_strs
+
+        def recording(nums, den, render=render):
+            rendered.append((tuple(nums), den))
+            return render(nums, den)
+
+        monkeypatch.setattr(module, "weight_strs", recording)
+    report, _ = run_json(capsys, ["analyze", "geom:1/4", "--truncate", "64",
+                                  "--trace", os.devnull])
+    assert report["results"]["probs"] == weight_strs(dist.nums, dist.den)
+    # besides the delta state, which a report renders on its own, every
+    # input weight (all distinct here) is rendered exactly once
+    delta_state = delta_occasion(dist).state
+    rendered.remove((delta_state.nums, delta_state.den))
+    assert sorted(v for nums, den in rendered for v in nums if v in dist.nums) == sorted(dist.nums)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "file:{dist_file}", "--trace"],
+    ["counterexample", "2", "--trace"],
+    ["counterexample", "2", "--analyze", "--trace"],
+    ["converge", "--spec", "geom:1/2", "--depth", "3", "--nmax", "16", "--window", "4",
+     "--csv"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+@pytest.mark.parametrize("path", ["", "{tmp}"], ids=["empty", "directory"])
+def test_unwritable_output_path_exits_2(capsys, dist_file, tmp_path, argv, path):
+    argv = [a.format(dist_file=dist_file) for a in argv] + [path.format(tmp=tmp_path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+    assert list(tmp_path.iterdir()) == [Path(dist_file)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from prefixcode import (
+    AlphaSequence,
     Geometric,
     LengthVector,
     MergeState,
@@ -290,6 +291,18 @@ class TestTraceRecord:
             _, trace = huffman(d)
             floor, size = trace.json_size_floor(), trace.json_size()
             assert floor < size if d.n > 2 else floor == size
+
+    def test_json_size_ceiling_is_above_the_size(self, rng):
+        instances = [*trace_instances(rng),
+                     *(near_uniform_distribution(rng, rng.randint(2, 64)) for _ in range(20)),
+                     *(truncate(spec, n)
+                       for spec in (Geometric(F(1, 4)), Geometric(F(3, 100)),
+                                    AlphaSequence((F(2, 5),)),
+                                    AlphaSequence((F(3, 7), F(2, 5), F(9, 20))))
+                       for n in (2, 3, 50, 200))]
+        for d in instances:
+            _, trace = huffman(d)
+            assert trace.json_size_ceiling() >= trace.json_size()
 
     def test_states_and_insertions_match_merge_step(self, rng):
         for d in trace_instances(rng):
