@@ -28,6 +28,7 @@ import argparse
 import os
 import sys
 import traceback
+from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -38,7 +39,7 @@ from prefixcode.antiuniform import (
     check_finite,
     check_infinite_tail,
 )
-from prefixcode.convergence import csv_rows, estimate_optimal_lengths
+from prefixcode.convergence import estimate_optimal_lengths
 from prefixcode.delta import DeltaKind, delta_occasion
 from prefixcode.distributions import FiniteDistribution, counterexample
 from prefixcode.errors import OutOfRangeError, PrefixCodeError, TailNotComputableError
@@ -231,6 +232,24 @@ def _cmd_oracle(args) -> tuple[dict, dict]:
     }
 
 
+def _csv_text(seq: Sequence[Sequence[int]], depth: int, n_min: int) -> str:
+    """Plot-ready CSV rows (n, l_1..l_depth) of the length prefixes ``seq``
+    for n = n_min, n_min + 1, ...; blank cells where symbol > n.
+
+    Lengths settle as n grows, so an entry equal to the one before it reuses
+    that entry's rendered cells.
+    """
+    lines = ["n," + ",".join(f"l_{i}" for i in range(1, depth + 1))]
+    before = cells = None
+    for n, vec in enumerate(seq, start=n_min):
+        if vec != before:
+            before = vec
+            cells = ",".join(["", *map(str, vec[:depth]), *[""] * (depth - len(vec))])
+        lines.append(f"{n}{cells}")
+    lines.append("")
+    return "\n".join(lines)
+
+
 def _cmd_converge(args) -> tuple[dict, dict]:
     spec = parse_source(args.spec)
     if not isinstance(spec, SourceSpec):
@@ -246,9 +265,8 @@ def _cmd_converge(args) -> tuple[dict, dict]:
     }
     results = report.to_dict()
     if args.csv is not None:
-        rows = csv_rows(report.length_prefixes, args.depth)
         Path(args.csv).write_text(
-            "\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8"
+            _csv_text(report.length_prefixes, args.depth, report.n_min), encoding="utf-8"
         )
         results["csv_file"] = args.csv
     return inputs, results

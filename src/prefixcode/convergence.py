@@ -14,7 +14,6 @@ canonical codeword assignment) and labels each entry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import takewhile, zip_longest
 from typing import Iterator, Sequence
 
 from prefixcode import kernel
@@ -36,8 +35,40 @@ from prefixcode.sources import (
 DEFAULT_WINDOW = 32
 DEFAULT_NMAX = 512
 
+# Largest sweep, in bit-merges (merges times the bits of the shared
+# denominator), that `converge` runs.  The denominator cap bounds the size
+# of a prefix, not the sweep over it: within it, a 2**-255 ratio shares no
+# merges across truncations and would run for about 35 s at n_max = 1024
+# (1.4e11 bit-merges).  2**34, about 1.7e10, admits every sweep the tests,
+# the benchmark and the README run; the largest, geom:3/100 at
+# n_max = 4096, needs 7.9e9.
+MAX_SWEEP_WORK = 1 << 34
+
 CERTIFIED = "CERTIFIED"
 EMPIRICAL = "EMPIRICAL"
+
+
+def check_sweep_work(spec: SourceSpec, n_max: int) -> int:
+    """Raise :class:`OutOfRangeError` before any term is built if the sweep
+    to n_max could pass MAX_SWEEP_WORK bit-merges; otherwise return that
+    estimate.
+
+    Truncation n costs at most min(n, L + 2/alpha_L + 1) merges (the
+    frontier bound of :func:`_sweep`), each an addition of at most the bits
+    of the n_max denominator (:func:`check_denominator_bits`).
+    """
+    bits = check_denominator_bits(spec, n_max)
+    cover = spec.alphas_cover().alphas
+    alpha = cover[-1]
+    per_n = len(cover) + 1 + 2 * alpha.denominator // alpha.numerator
+    ramp = min(n_max, per_n)  # truncations n <= ramp cost n merges
+    work = (ramp * (ramp + 1) // 2 - 1 + (n_max - ramp) * per_n) * bits
+    if work > MAX_SWEEP_WORK:
+        raise OutOfRangeError(
+            f"the sweep to n = {n_max} needs up to {work} bit-merges, which "
+            f"exceeds the limit of {MAX_SWEEP_WORK}"
+        )
+    return work
 
 
 def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[list[int]]:
@@ -73,13 +104,14 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[lis
     checked in integers for every n >= L, below n_min too, before
     truncation n + 1 is coded; a prefix that breaks its own cover is a bug
     of the source and raises :class:`RuntimeError`.
-    Truncations n <= L run the plain kernel.
+    Truncations n <= L run the plain kernel.  The frontier bound caps the
+    sweep's work before any term is built (:func:`check_sweep_work`).
     """
     if not 2 <= n_min <= n_max <= MAX_TRUNCATION:
         raise OutOfRangeError(
             f"need 2 <= n_min <= n_max <= {MAX_TRUNCATION}, got [{n_min}, {n_max}]"
         )
-    check_denominator_bits(spec, n_max)
+    check_sweep_work(spec, n_max)
     nums, den = spec.prefix_numerators(n_max)
     check_weights(nums, sum(nums))
     cover = spec.alphas_cover().alphas
@@ -186,8 +218,8 @@ class ConvergenceReport:
     n_max: int
     window: int
     per_symbol: tuple[SymbolReport, ...]
-    # lengths of symbols 1..depth for n = n_min..n_max, for csv_rows; not
-    # part of the JSON report
+    # lengths of symbols 1..depth for n = n_min..n_max, for the CLI's CSV;
+    # not part of the JSON report
     length_prefixes: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
@@ -200,25 +232,35 @@ class ConvergenceReport:
         }
 
 
-def csv_rows(seq: Sequence[Sequence[int]], depth: int, n_min: int = 2) -> list[list[str]]:
-    """Plot-ready rows (n, l_1..l_depth); blank where symbol > n."""
-    header = ["n"] + [f"l_{i}" for i in range(1, depth + 1)]
-    rows = [header]
-    for n, vec in enumerate(seq, start=n_min):
-        rows.append([str(n), *map(str, vec[:depth]), *[""] * (depth - len(vec))])
-    return rows
-
-
 def _final_run_starts(seq: Sequence[Sequence[int]], n_min: int = 2) -> list[int]:
     """For each symbol s that the last entry of ``seq`` holds, the first n
     of the run of equal lengths of s that ends there (n counted as in
     :func:`detect_stabilization`); an entry too short to hold s ends the
-    run."""
-    starts = []
-    # one transposed copy; 0, which no code length is, where s > len(vec)
-    for column in zip_longest(*seq, fillvalue=0):
-        run = takewhile(column[-1].__eq__, reversed(column))
-        starts.append(n_min + len(column) - len(list(run)))
+    run.
+
+    Walks back from the end one whole entry at a time: an entry equal to
+    the one after it ends no run, so only entries that differ from their
+    successor are looked at symbol by symbol.
+    """
+    last = seq[-1]
+    starts = [n_min] * len(last)
+    running = range(len(last))  # the symbols whose run has not ended
+    later = last
+    for off in range(len(seq) - 2, -1, -1):
+        row = seq[off]
+        if row == later:
+            continue
+        later = row
+        held = len(row)
+        still = []
+        for s in running:
+            if s < held and row[s] == last[s]:
+                still.append(s)
+            else:
+                starts[s] = n_min + off + 1
+        if not still:
+            break
+        running = still
     return starts
 
 

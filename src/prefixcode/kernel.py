@@ -18,6 +18,14 @@ indices after the loop; :func:`leading_depths` walks from the root down
 only as far as the first d leaves.  Those two lists are also the whole
 state of the loop, so a run can stop before a bound and resume later.
 
+The record is allocated once per run and never grown or trimmed.  Merge
+m (0-based) writes the number of sums merged before it to slot m of
+``heads`` and its sum to slot m of ``sums``.  ``sums`` starts with the
+sentinel, a value above every weight and sum, in every slot; merge m reads
+no slot above m, so when it starts, ``sums[m]`` still holds the sentinel
+and ends the queue.  The loop returns the merge count, which is the
+record's length.
+
 :func:`tail_depths` codes a sequence of truncations with one shared run
 (Gallager and Van Voorhis, 1975, for the self-similar structure).  When the
 weights from p_L on shrink by a constant ratio c/d, the tail
@@ -33,6 +41,13 @@ frontier items sum to at least p_L, and together they hold the tail's mass,
 below p_L/(1 - c/d), so there are at most min(n, 2/(1 - c/d) + 1) of them.
 Truncation n is finished from the head weights plus the frontier, and the
 finishing merges are then dropped from the shared record.
+
+The sweep keeps one record of len(nums) slots for all its truncations.
+Slots ``0..shared-1`` hold the shared tail merges, and the queued sums
+among them, ``sums[heads[shared]:shared]``, are scaled by c/d in place.
+Truncation n's finishing merges write slots ``shared..n-2``; dropping them
+puts the sentinel back in those slots with one slice assignment, so every
+slot above the shared merges holds it, as in a fresh record.
 """
 
 from __future__ import annotations
@@ -46,23 +61,23 @@ def _leaves(nums):
     return [nums[0] * len(nums) + 1 if nums else 1, *nums]
 
 
-def _merge(leaves, n, sums, heads, steps, bound):
-    """Resume the merge loop over the weights ``leaves[1..n]`` for up to
-    `steps` merges, stopping before the first merge sum >= `bound`.
+def _merge(leaves, n, sums, heads, m, end, bound):
+    """Resume the merge loop over the weights ``leaves[1..n]`` from merge m
+    to at most merge ``end - 1``, stopping before the first merge sum >=
+    `bound`; returns the number of merges then done.
 
-    The run so far is in ``sums`` and ``heads``, both extended in place:
-    ``sums[m]`` is the sum merge m (0-based) created, node ``n + m``, and
-    ``heads[m]`` the number of sums merged before merge m, so ``heads[-1]``
-    is the queue head after the last merge and the queue is
-    ``sums[heads[-1]:]``.  Before merge m, ``n - 2*m + heads[m]`` leaves are
-    not yet merged.  ``leaves[0]`` is the sentinel of :func:`_leaves`.
+    The run so far is the record ``sums[:m]``, ``heads[:m + 1]``, written in
+    place: ``heads[m]`` is the number of sums merged before merge m
+    (0-based), which writes its sum, node ``n + m``, to ``sums[m]``, so the
+    queue before merge m is ``sums[heads[m]:m]``.  Before merge m,
+    ``n - 2*m + heads[m]`` leaves are not yet merged.  ``leaves[0]`` is the
+    sentinel of :func:`_leaves`, and ``sums[m]`` must hold it when merge m
+    starts: it is the queue's end.
     """
-    top = leaves[0]
-    m = len(sums)
-    head = heads[-1]
+    head = heads[m]
     leaf = n - 2 * m + head
-    sums += [top] * steps
-    for m in range(m, m + steps):
+    for m in range(m, end):
+        heads[m] = head
         x = leaves[leaf]
         y = sums[head]
         if x <= y:
@@ -79,43 +94,51 @@ def _merge(leaves, n, sums, heads, steps, bound):
             head += 1
             s += x
         if s >= bound:  # put the pair back: the state is sums and heads
-            break
+            return m
         sums[m] = s
-        heads.append(head)
-    del sums[len(heads) - 1 :]
+    heads[end] = head
+    return end
 
 
 def _run(nums, steps, bound=None):
-    """``(sums, heads)`` of up to `steps` merges from the sorted weights,
-    stopping before the first merge sum >= `bound` (none by default)."""
+    """``(sums, heads, count)``: the record of up to `steps` merges from the
+    sorted weights, stopping before the first merge sum >= `bound` (none by
+    default), and the number of merges done."""
     leaves = _leaves(nums)
-    sums, heads = [], [0]
-    _merge(leaves, len(nums), sums, heads, steps, leaves[0] if bound is None else bound)
-    return sums, heads
+    top = leaves[0]
+    sums, heads = [top] * (steps + 1), [0] * (steps + 1)
+    count = _merge(leaves, len(nums), sums, heads, 0, steps,
+                   top if bound is None else bound)
+    return sums, heads, count
 
 
-def _state(nums, sums, heads):
-    """The non-increasing weight list the recorded merges leave."""
-    head = heads[-1]
-    leaves = len(nums) - 2 * len(sums) + head
-    return sorted([*nums[:leaves], *sums[head:]], reverse=True)
+def _state(nums, sums, heads, count):
+    """The non-increasing weight list the first `count` recorded merges leave."""
+    head = heads[count]
+    leaves = len(nums) - 2 * count + head
+    return sorted([*nums[:leaves], *sums[head:count]], reverse=True)
 
 
 def _leaf_depths(n, heads, d):
-    """Depths of leaves 0..d-1 (d <= n) from the recorded heads, one tree
-    level at a time from the root down.
+    """Depths of leaves 0..d-1 (d <= n), and maybe of some leaves after
+    them, from the recorded heads, one tree level at a time from the root
+    down.
 
     Depths never increase in pop order, so the merges whose nodes sit at one
-    level are a run ``lo..hi-1``: their children are the sums ``heads[lo]``
-    to ``heads[hi] - 1``, the next level's merges, and the leaves that are
-    unmerged before merge lo but not after merge hi-1.
+    level are a run from some merge m up to the first merge of the level
+    above.  They pop the sums from ``heads[m]`` on, the next level's
+    merges, and every leaf still unmerged before merge m: the
+    ``n - 2*m + heads[m]`` leaves at this level or above.
     """
     out = []
+    placed = 0
     depth = 1
-    lo, hi = n - 2, n - 1  # the root
-    while len(out) < d:
-        out += [depth] * (n - 2 * lo + heads[lo] - len(out))
-        lo, hi = heads[lo], heads[hi]
+    m = n - 2  # the root
+    while placed < d:
+        leaves = n - 2 * m + heads[m]
+        out += [depth] * (leaves - placed)
+        placed = leaves
+        m = heads[m]
         depth += 1
     return out
 
@@ -132,7 +155,8 @@ def run_merges(nums):
     n = len(nums)
     if n < 2:
         raise ValueError("need at least two weights")
-    sums, heads = _run(nums, n - 1)
+    sums, heads, _ = _run(nums, n - 1)
+    del sums[n - 1 :]  # the sentinel
     ks = []
     above = n  # leaves nums[:above] exceed the latest merge sum
     for s in sums:
@@ -173,8 +197,8 @@ def merge_until(nums, bound):
     ``bound = nums[0]`` that is the delta occasion: ``steps`` counts the
     merge sums below the top weight, without running the rest.
     """
-    sums, heads = _run(nums, max(len(nums) - 1, 0), bound)
-    return len(sums), _state(nums, sums, heads)
+    sums, heads, count = _run(nums, max(len(nums) - 1, 0), bound)
+    return count, _state(nums, sums, heads, count)
 
 
 def tail_depths(nums, tail, c, d, n_min, depth):
@@ -193,16 +217,18 @@ def tail_depths(nums, tail, c, d, n_min, depth):
     leaves = _leaves(nums)
     top = leaves[0]
     bound = leaves[tail]  # the largest tail weight
-    sums, heads = [], [0]  # the tail merges shared by every truncation
+    # one record for the whole sweep: sums[:shared] are the tail merges
+    # every truncation shares, and sums[shared] is the sentinel
+    sums, heads = [top] * len(nums), [0] * len(nums)
+    shared = 0
     for n in range(tail + 1, len(nums) + 1):
-        live = heads[-1]
-        sums[live:] = [s * c // d for s in sums[live:]]
-        # the tail holds n - tail + 1 - len(sums) items; the bound keeps
-        # the largest tail weight, so at most that many less one can merge
-        _merge(leaves, n, sums, heads, n - tail - len(sums), bound)
+        for i in range(heads[shared], shared):  # the queued sums
+            sums[i] = sums[i] * c // d
+        # the tail holds n - tail + 1 - shared items; the bound keeps the
+        # largest tail weight, so at most that many less one can merge
+        shared = _merge(leaves, n, sums, heads, shared, n - tail, bound)
         if n >= n_min:
-            shared = len(sums)
-            _merge(leaves, n, sums, heads, n - 1 - shared, top)
-            depths = _leaf_depths(n, heads, min(depth, n))[:depth]
-            del sums[shared:], heads[shared + 1 :]
-            yield depths
+            _merge(leaves, n, sums, heads, shared, n - 1, top)
+            yield _leaf_depths(n, heads, min(depth, n))[:depth]
+            # drop the finishing merges: their slots hold the sentinel again
+            sums[shared : n - 1] = [top] * (n - 1 - shared)

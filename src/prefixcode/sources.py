@@ -368,9 +368,10 @@ def check_head_sum(spec: SourceSpec, n: int, total: int, den: int) -> None:
         raise NotNormalizedError(Fraction(total, den) / sn)
 
 
-def check_denominator_bits(spec: SourceSpec, n: int) -> None:
+def check_denominator_bits(spec: SourceSpec, n: int) -> int:
     """Raise :class:`OutOfRangeError` before the first n probabilities are
-    built if their shared denominator could pass MAX_DENOMINATOR_BITS bits.
+    built if their shared denominator could pass MAX_DENOMINATOR_BITS bits;
+    otherwise return that bound on its bits.
 
     p_m = alpha_m * prod_{j<m}(1 - alpha_j), so every p_m with m <= n is a
     fraction over the product of the alpha denominators up to n, whose bits
@@ -384,6 +385,7 @@ def check_denominator_bits(spec: SourceSpec, n: int) -> None:
             f"the first {n} probabilities need a denominator of up to {bits} bits, "
             f"which exceeds the limit of {MAX_DENOMINATOR_BITS} bits"
         )
+    return bits
 
 
 def truncate(spec: SourceSpec, n: int) -> FiniteDistribution:

@@ -15,8 +15,10 @@ import pytest
 from prefixcode import Geometric, cli, classify_l1, counterexample, kernel, truncate
 from prefixcode.cli import run
 from prefixcode.delta import delta_occasion
-from prefixcode.fileio import read_distribution_file
+from prefixcode.fileio import parse_source, read_distribution_file
+from prefixcode.huffman import huffman_lengths
 from prefixcode.numutil import weight_strs
+from test_convergence import _reference_csv_text
 from test_huffman import reference_trace_lines
 
 
@@ -490,6 +492,29 @@ class TestConverge:
         assert rows[0] == "n,l_1,l_2"
         assert len(rows) == 48  # header + n = 2..48
         assert rows[1].startswith("2,")
+
+    @pytest.mark.parametrize("spec, depth, nmax", [
+        ("geom:1/2", 16, 40),  # rows for n < 16 are shorter than --depth
+        ("geom:1/4", 16, 96),
+        ("alpha:[3/7,2/5,9/20]", 16, 96),
+    ])
+    def test_csv_file_is_the_reference_rows(self, capsys, tmp_path, spec, depth, nmax):
+        csv_path = tmp_path / "series.csv"
+        run_json(capsys, ["converge", "--spec", spec, "--depth", str(depth),
+                          "--nmax", str(nmax), "--window", "8", "--csv", str(csv_path)])
+        # each truncation coded on its own, rendered by the first-written rows
+        source = parse_source(spec)
+        seq = [huffman_lengths(truncate(source, n))[:depth] for n in range(2, nmax + 1)]
+        assert csv_path.read_bytes() == _reference_csv_text(seq, depth).encode()
+
+    def test_sweep_past_the_work_cap_exits_2(self, capsys):
+        # within the denominator cap, but no merge is shared across
+        # truncations: about 35 s of sweep before the cap
+        ratio = f"geom:1/{2**255}"
+        assert run(["converge", "--spec", ratio, "--depth", "16", "--nmax", "1024"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the sweep to n = 1024 needs up to ")
+        assert "bit-merges, which exceeds the limit of" in err
 
     def test_csv_reuses_the_report_sweep(self, capsys, tmp_path, monkeypatch):
         sweeps, coded = [], []

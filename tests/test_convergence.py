@@ -18,7 +18,15 @@ from prefixcode import (
     truncate,
     truncation_sequence,
 )
-from prefixcode.convergence import CERTIFIED, EMPIRICAL, _final_run_starts, _sweep, csv_rows
+from prefixcode.cli import _csv_text
+from prefixcode.convergence import (
+    CERTIFIED,
+    EMPIRICAL,
+    MAX_SWEEP_WORK,
+    _final_run_starts,
+    _sweep,
+    check_sweep_work,
+)
 from prefixcode.errors import (
     NotNormalizedError,
     NotSortedError,
@@ -202,6 +210,37 @@ class TestTruncationSequence:
             check_infinite_tail(AlphaSequence((F(1, 2), F(1, 10**100000))), 50)
 
 
+# a 2**-255 ratio: at n = 1024 its prefix needs exactly the 2**18-bit cap
+TINY_RATIO = Geometric(F(1, 2**255))
+
+
+def test_sweep_work_is_merges_times_denominator_bits():
+    # truncation n codes at most min(n, L + 2/alpha_L + 1) merges
+    for spec, n_max in ((Geometric(F(3, 100)), 4096), (Geometric(F(1, 4)), 512),
+                        (AlphaSequence((F(3, 7), F(2, 5), F(9, 20))), 700),
+                        (TINY_RATIO, 64)):
+        cover = spec.alphas_cover().alphas
+        per_n = len(cover) + 1 + 2 * cover[-1].denominator // cover[-1].numerator
+        merges = sum(min(n, per_n) for n in range(2, n_max + 1))
+        assert check_sweep_work(spec, n_max) == merges * check_denominator_bits(spec, n_max)
+    # the largest sweep the README times runs
+    assert check_sweep_work(Geometric(F(3, 100)), 4096) <= MAX_SWEEP_WORK
+
+
+def test_sweep_work_cap_refuses_before_any_term_is_built(monkeypatch):
+    def unreachable(self, n):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(Geometric, "prefix_numerators", unreachable)
+    check_denominator_bits(TINY_RATIO, 1024)  # within the denominator cap
+    with pytest.raises(OutOfRangeError,
+                       match=f"needs up to 137572909056 bit-merges, which exceeds "
+                             f"the limit of {MAX_SWEEP_WORK}$"):
+        truncation_sequence(TINY_RATIO, 2, 1024)
+    with pytest.raises(OutOfRangeError, match="bit-merges"):
+        estimate_optimal_lengths(TINY_RATIO, 16, n_max=1024)
+
+
 class TestDetectStabilization:
     def test_geometric_half_symbol_one(self):
         seq = truncation_sequence(Geometric(F(1, 2)), 2, 40)
@@ -305,7 +344,7 @@ def test_report_keeps_leading_lengths_only():
     report = estimate_optimal_lengths(spec, 3, n_max=64, window=8)
     full = truncation_sequence(spec, 2, 64)
     assert report.length_prefixes == tuple(tuple(vec)[:3] for vec in full)
-    assert csv_rows(report.length_prefixes, 3) == csv_rows(full, 3)
+    assert _csv_text(report.length_prefixes, 3, 2) == _csv_text(full, 3, 2)
     assert "length_prefixes" not in report.to_dict()
 
 
@@ -333,21 +372,27 @@ def test_small_windows_never_contradict_a_certificate():
     assert early == 513
 
 
-def test_csv_rows_shape():
-    seq = truncation_sequence(Geometric(F(1, 2)), 2, 6)
-    rows = csv_rows(seq, 4)
-    assert rows[0] == ["n", "l_1", "l_2", "l_3", "l_4"]
-    assert rows[1] == ["2", "1", "1", "", ""]
-    assert rows[-1] == ["6", "1", "2", "3", "4"]
-
-
 def _reference_csv_rows(seq, depth, n_min=2):
-    """csv_rows as first written: one branch per cell."""
+    """The CSV rows as first written: one branch per cell."""
     rows = [["n"] + [f"l_{i}" for i in range(1, depth + 1)]]
     for off, vec in enumerate(seq):
         rows.append([str(n_min + off)]
                     + [str(vec[i - 1]) if i <= len(vec) else "" for i in range(1, depth + 1)])
     return rows
+
+
+def _reference_csv_text(seq, depth, n_min=2):
+    """The CSV file as first written from the reference rows."""
+    return "\n".join(",".join(row) for row in _reference_csv_rows(seq, depth, n_min)) + "\n"
+
+
+def test_csv_rows_shape():
+    seq = truncation_sequence(Geometric(F(1, 2)), 2, 6)
+    rows = _reference_csv_rows(seq, 4)
+    assert rows[0] == ["n", "l_1", "l_2", "l_3", "l_4"]
+    assert rows[1] == ["2", "1", "1", "", ""]
+    assert rows[-1] == ["6", "1", "2", "3", "4"]
+    assert _csv_text(seq, 4, 2).split("\n") == [",".join(row) for row in rows] + [""]
 
 
 def _reference_stable_since(seq, symbol, window, length):
@@ -374,8 +419,8 @@ def test_csv_rows_and_stable_since_match_their_first_versions(rng):
     stabilized = 0
     for _ in range(500):
         seq, depth = _random_length_rows(rng)
-        assert csv_rows(seq, depth) == _reference_csv_rows(seq, depth)
-        assert csv_rows(seq, depth, 5) == _reference_csv_rows(seq, depth, 5)
+        assert _csv_text(seq, depth, 2) == _reference_csv_text(seq, depth)
+        assert _csv_text(seq, depth, 5) == _reference_csv_text(seq, depth, 5)
         since = _final_run_starts(seq)
         window = rng.randint(1, len(seq))
         for symbol in range(1, len(seq[-1]) + 1):
@@ -387,6 +432,40 @@ def test_csv_rows_and_stable_since_match_their_first_versions(rng):
                 assert since[symbol - 1] == _reference_stable_since(
                     seq, symbol, window, stab.length)
     assert stabilized > 200
+
+
+def _reference_final_run_starts(seq):
+    """Each symbol's final-run start by the first-written stable_since: a
+    window of one entry, stepped back while the symbol keeps its last length."""
+    return [_reference_stable_since(seq, symbol, 1, seq[-1][symbol - 1])
+            for symbol in range(1, len(seq[-1]) + 1)]
+
+
+def test_final_run_starts_on_long_equal_tails(rng):
+    # a short varied start, then the last entry repeated hundreds of times
+    for _ in range(200):
+        seq, _ = _random_length_rows(rng)
+        seq += [seq[-1]] * rng.choice((1, 50, 300))
+        assert _final_run_starts(seq) == _reference_final_run_starts(seq)
+    assert _final_run_starts([(1, 2)] * 400) == [2, 2]
+
+
+def test_final_run_starts_when_one_symbol_changes_at_a_time(rng):
+    # each entry repeats the one before, changes one of its symbols while
+    # the others hold, or holds one symbol more
+    for _ in range(200):
+        size = rng.randint(1, 8)
+        row = [rng.randint(1, 3) for _ in range(size)]
+        seq = [tuple(row)]
+        for _ in range(rng.randint(1, 60)):
+            if len(row) < 12 and rng.random() < 0.1:
+                row.append(rng.randint(1, 3))
+            elif rng.random() < 0.5:
+                symbol = rng.randrange(len(row))
+                row[symbol] = rng.choice([v for v in (1, 2, 3) if v != row[symbol]])
+            seq.append(tuple(row))
+        assert _final_run_starts(seq) == _reference_final_run_starts(seq)
+        assert _final_run_starts(seq, 7) == [s + 5 for s in _reference_final_run_starts(seq)]
 
 
 def _per_n_depths(spec, n_min, n_max, depth):

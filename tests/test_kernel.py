@@ -11,6 +11,7 @@ from prefixcode import Geometric, kernel
 from prefixcode.errors import TooFewEntriesError
 from prefixcode.huffman import MergeState
 from prefixcode.numutil import common_numerators
+from test_convergence import _random_alpha_spec
 
 
 def reference_merges(nums):
@@ -258,3 +259,68 @@ def test_tail_depths_equal_leading_depths_of_each_truncation(rng):
                 kernel.leading_depths(nums[:n], depth)
                 for n in range(max(n_min, tail + 1), len(nums) + 1)
             ]
+
+
+def _alpha_sweep_inputs(rng, n_max):
+    """The integer prefix of a random alpha list (denominators up to 9, so
+    many ties) with its cover length and tail ratio c/d, as the sweep
+    passes them to tail_depths."""
+    spec = _random_alpha_spec(rng)
+    nums, _ = spec.prefix_numerators(n_max)
+    cover = spec.alphas_cover().alphas
+    alpha = cover[-1]
+    return nums, len(cover), alpha.denominator - alpha.numerator, alpha.denominator
+
+
+def _per_n_leading_depths(nums, tail, n_min, depth):
+    return [kernel.leading_depths(nums[:n], depth)
+            for n in range(max(n_min, tail + 1), len(nums) + 1)]
+
+
+def test_tail_depths_yields_nothing_without_a_tail_truncation(rng):
+    # a prefix no longer than the cover holds no truncation past the head
+    for _ in range(100):
+        nums, tail, c, d = _alpha_sweep_inputs(rng, rng.randint(1, 6))
+        if len(nums) <= tail:
+            assert list(kernel.tail_depths(nums, tail, c, d, 2, 4)) == []
+        assert list(kernel.tail_depths(nums, len(nums), c, d, 2, 4)) == []
+
+
+def test_tail_depths_equal_leading_depths_on_random_alpha_lists(rng):
+    for _ in range(150):
+        nums, tail, c, d = _alpha_sweep_inputs(rng, rng.randint(2, 120))
+        size = len(nums)
+        # from the first tail truncation, from a later one, and past the end
+        for n_min in (2, tail + 1 + rng.randint(1, 8), size + 1):
+            for depth in (1, rng.randint(1, size), size, size + 3):
+                assert list(kernel.tail_depths(nums, tail, c, d, n_min, depth)) == \
+                    _per_n_leading_depths(nums, tail, n_min, depth), (nums, tail, n_min, depth)
+
+
+def test_two_sweeps_over_the_same_inputs_agree(rng):
+    # each sweep owns its record: run one after the other, or in lockstep,
+    # they yield the same lists and leave the weights as they were
+    for _ in range(60):
+        nums, tail, c, d = _alpha_sweep_inputs(rng, rng.randint(2, 90))
+        kept = list(nums)
+        depth = rng.randint(1, 6)
+        expected = _per_n_leading_depths(nums, tail, 2, depth)
+        assert list(kernel.tail_depths(nums, tail, c, d, 2, depth)) == expected
+        assert list(kernel.tail_depths(nums, tail, c, d, 2, depth)) == expected
+        both = zip(kernel.tail_depths(nums, tail, c, d, 2, depth),
+                   kernel.tail_depths(nums, tail, c, d, 2, depth))
+        assert list(both) == [(depths, depths) for depths in expected]
+        assert nums == kept
+
+
+def test_full_runs_equal_reference_on_random_alpha_prefixes(rng):
+    # the record that full runs and bounded runs write, on tie-heavy prefixes
+    for _ in range(60):
+        nums, *_ = _alpha_sweep_inputs(rng, rng.randint(2, 70))
+        if len(nums) < 2:
+            continue
+        *run, _, states = reference_merges(nums)
+        assert kernel.run_merges(nums) == tuple(run)
+        assert [kernel.state_after(nums, m) for m in range(len(nums))] == [nums] + states
+        for bound in (nums[0], nums[-1], sum(nums) // 2, sum(nums), sum(nums) + 1):
+            assert kernel.merge_until(nums, bound) == reference_merge_until(nums, bound)
