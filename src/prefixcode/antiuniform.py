@@ -7,7 +7,7 @@ i.  The finite test is exact suffix-sum domination,
     p_{i+2} + ... + p_n <= p_i    for 1 <= i <= n-3,
 
 and the infinite test replaces the finite tail with the exact tail mass
-1 - S_(i+1), confirmed against the source's closed form.  The alpha
+1 - S_(i+1), confirmed against the source's exact partial sum.  The alpha
 criterion certifies the infinite pattern from the conditional ratios
 alone: it suffices that (1-a_i)(1-a_{i+1}) <= a_i for all consecutive
 pairs, which a per-element polynomial threshold implies.
@@ -74,7 +74,7 @@ def check_infinite_tail(spec: SourceSpec, depth: int) -> AntiUniformVerdict:
 
     Runs on the integer prefix p_1..p_(depth+1) over its denominator: the
     tail after symbol i + 1 is den minus the running head sum.  That head
-    sum is checked against the family's closed form S_(i+1) at the index
+    sum is checked against the spec's exact S_(i+1) at the index
     reported, or at depth + 1 when the test holds.
     """
     if depth < 1:

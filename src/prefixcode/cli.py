@@ -39,7 +39,7 @@ from prefixcode.antiuniform import (
     check_finite,
     check_infinite_tail,
 )
-from prefixcode.convergence import estimate_optimal_lengths
+from prefixcode.convergence import DEFAULT_NMAX, DEFAULT_WINDOW, estimate_optimal_lengths
 from prefixcode.delta import DeltaKind, delta_occasion
 from prefixcode.distributions import FiniteDistribution, counterexample
 from prefixcode.errors import OutOfRangeError, PrefixCodeError, TailNotComputableError
@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("converge", help="truncation stabilization report")
     p.add_argument("--spec", required=True, help="geom:a/b | alpha:[a/b,...]")
     p.add_argument("--depth", type=int, required=True, help="symbols to track")
-    p.add_argument("--nmax", type=int, default=512)
-    p.add_argument("--window", type=int, default=32)
+    p.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--csv", metavar="PATH", help="also write (n, l_1..l_D) rows as CSV")
     p.set_defaults(handler=_cmd_converge)
 

@@ -77,7 +77,7 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[lis
 
     Merging is scale-invariant, so truncation n codes the integer prefix
     ``nums[:n]`` of the n_max prefix over one shared denominator (the
-    family's ``prefix_numerators``) instead of renormalizing by S_n; the
+    spec's ``prefix_numerators``) instead of renormalizing by S_n; the
     lengths equal those of ``truncate(spec, n)``.
     The checks a truncated distribution makes still hold: positivity and
     sortedness of the n_max prefix (every shorter prefix inherits them), and
@@ -85,8 +85,9 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[lis
     (1 - alpha_j) over j <= n, which the alpha cover gives as one integer
     fraction, a small factor per n; once S_(n-1) is checked, 1 - S_n is
     checked against (1 - S_(n-1))*(1 - alpha_n), so each n multiplies only
-    by the small factor.  The family's own closed form
-    (:func:`check_head_sum`) is consulted at n_max and on any mismatch.
+    by the small factor.  The spec's one product formula for S_n, over
+    its own ratios (:func:`check_head_sum`), is consulted at n_max and on
+    any mismatch.
 
     The truncations do not rerun the merge loop one by one.  With L the
     length of the alpha cover and c/d = 1 - alpha_L, the weights from p_L on

@@ -1,11 +1,4 @@
-"""Infinite sources with closed-form tails, and the alpha parameterization.
-
-A source over symbols 1, 2, ... is represented by one of three generator
-families, each of which can produce any prefix probability p_i and any
-partial sum S_n = p_1 + ... + p_n as an exact rational.  That closed-form
-requirement is what keeps truncation exact: the truncated distribution is
-(p_1/S_n, ..., p_n/S_n), and :func:`check_head_sum` confirms that a prefix
-really sums to S_n.
+"""Infinite sources given by their alpha covers, and the alpha parameterization.
 
 The alpha view writes a distribution through its conditional tail ratios
 
@@ -15,20 +8,28 @@ so that p_m = alpha_m * prod_{j<m}(1 - alpha_j) and the mass left after the
 first n symbols is prod_{j<=n}(1 - alpha_j).  A constant alpha reproduces
 the geometric family.
 
-Each family's ``prefix_numerators(n)`` is its source of truth for p_1..p_n:
-integer numerators over the product of the alpha denominators up to n (the
-bound of :func:`check_denominator_bits`; not always lowest terms), each
-stepped from the one before, p_(m+1) = p_m * alpha_(m+1) * (1 - alpha_m) /
-alpha_m, by a small integer product and an exact division.
-``prefix_probs(n)`` is a ``Fraction`` view over it that no computation in
-the package reads.
+A source over symbols 1, 2, ... is one of three families (geometric, an
+alpha sequence, an explicit head with a geometric tail).  Each supplies only
+its alpha cover, a finite list of ratios whose last entry repeats forever;
+:class:`SourceSpec` computes p_i, S_n = p_1 + ... + p_n and 1 - S_n from it
+as exact rationals, with one implementation for every family.  That is what
+keeps truncation exact: the truncated distribution is (p_1/S_n, ...,
+p_n/S_n), and :func:`check_head_sum` confirms that a prefix really sums to
+S_n.
+
+``prefix_numerators(n)`` is the source of truth for p_1..p_n: integer
+numerators over the product of the alpha denominators up to n (the bound of
+:func:`check_denominator_bits`; not always lowest terms), each stepped from
+the one before, p_(m+1) = p_m * alpha_(m+1) * (1 - alpha_m) / alpha_m, by a
+small integer product and an exact division.  ``prefix_probs(n)`` is a
+``Fraction`` view over it that no computation in the package reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from prefixcode.distributions import FiniteDistribution
@@ -123,17 +124,48 @@ def to_alphas(probs: Sequence[Fraction]) -> AlphaVector:
 
 
 class SourceSpec:
-    """Generator of an infinite distribution with exact closed-form tails."""
+    """An infinite distribution given by its alpha cover.
+
+    A family supplies ``alphas``: the conditional ratios alpha_1..alpha_L,
+    whose last entry repeats forever, and ``literal()``, the spec literal
+    for report echoes, exact at any size.  Every family here has an eventually
+    constant alpha sequence, so p_i, S_n, 1 - S_n and the integer prefix
+    are computed here, once, from that cover, and criteria quantified over
+    all alphas can be decided exactly from it.
+    """
+
+    alphas: tuple[Fraction, ...]
+
+    def alpha_at(self, i: int) -> Fraction:
+        """alpha_i for a 1-based symbol index."""
+        self._check_index(i)
+        return self.alphas[min(i, len(self.alphas)) - 1]
 
     def prob(self, i: int) -> Fraction:
         """Exact p_i for a 1-based symbol index."""
-        raise NotImplementedError
+        return self.alpha_at(i) * (self.tail_after(i - 1) if i > 1 else 1)
 
     def prefix_numerators(self, n: int) -> tuple[list[int], int]:
         """Integers [v_1, ..., v_n] and den with p_i = v_i / den exactly,
-        for n >= 1; den divides the product of the alpha denominators up
-        to n and need not be in lowest terms."""
-        raise NotImplementedError
+        for n >= 1; den is the product of the alpha denominators up to n
+        and need not be in lowest terms."""
+        self._check_index(n)
+        alphas, listed = self.alphas, len(self.alphas)
+        d = alphas[-1].denominator
+        c = d - alphas[-1].numerator
+        den = prod(x.denominator for x in alphas[:n]) * d ** max(n - listed, 0)
+        nums = [den // alphas[0].denominator * alphas[0].numerator]
+        for x, y in zip(alphas, alphas[1:n]):
+            # p_(m+1) = p_m * y * (1 - x) / x, exactly
+            nums.append(nums[-1] * y.numerator * (x.denominator - x.numerator)
+                        // (x.numerator * y.denominator))
+        # past the listed ratios each term is the one before it times
+        # c/d = 1 - alpha_L, an exact division
+        v = nums[-1]
+        for _ in range(n - listed):
+            v = v * c // d
+            nums.append(v)
+        return nums, den
 
     def prefix_probs(self, n: int) -> list[Fraction]:
         """Exact [p_1, ..., p_n], a view over :meth:`prefix_numerators`."""
@@ -142,24 +174,22 @@ class SourceSpec:
 
     def head_sum(self, n: int) -> Fraction:
         """Exact S_n = p_1 + ... + p_n."""
-        raise NotImplementedError
+        return 1 - self.tail_after(n)
 
     def tail_after(self, n: int) -> Fraction:
-        """Exact 1 - S_n."""
-        return 1 - self.head_sum(n)
+        """Exact 1 - S_n, the product of 1 - alpha_j over j <= n."""
+        self._check_index(n)
+        listed = len(self.alphas)
+        residual = Fraction(1)
+        for a in self.alphas[: min(n, listed)]:
+            residual *= 1 - a
+        if n > listed:
+            residual *= (1 - self.alphas[-1]) ** (n - listed)
+        return residual
 
     def alphas_cover(self) -> AlphaVector:
-        """Finite alpha vector whose last entry repeats forever.
-
-        Every family in this module has an eventually constant alpha
-        sequence, so criteria quantified over all alphas can be decided
-        exactly from this cover.
-        """
-        raise NotImplementedError
-
-    def literal(self) -> str:
-        """Human-readable spec literal for report echoes, exact at any size."""
-        raise NotImplementedError
+        """Finite alpha vector whose last entry repeats forever."""
+        return AlphaVector(self.alphas)
 
     def _check_index(self, i: int) -> None:
         if i < 1:
@@ -178,28 +208,12 @@ class Geometric(SourceSpec):
         if not 0 < ratio < 1:
             raise OutOfRangeError(f"ratio must be in (0, 1), got {rat_str(ratio)}")
 
-    def prob(self, i: int) -> Fraction:
-        self._check_index(i)
-        return self.ratio * (1 - self.ratio) ** (i - 1)
-
-    def prefix_numerators(self, n: int) -> tuple[list[int], int]:
-        self._check_index(n)
-        a, d = self.ratio.numerator, self.ratio.denominator
-        return _geometric_run([a * d ** (n - 1)], d - a, d, n - 1), d**n
+    @property
+    def alphas(self) -> tuple[Fraction, ...]:
+        return (self.ratio,)
 
     # the view, bound per family: perfbench's tracer rebinds it by class
     prefix_probs = SourceSpec.prefix_probs
-
-    def head_sum(self, n: int) -> Fraction:
-        self._check_index(n)
-        return 1 - (1 - self.ratio) ** n
-
-    def tail_after(self, n: int) -> Fraction:
-        self._check_index(n)
-        return (1 - self.ratio) ** n
-
-    def alphas_cover(self) -> AlphaVector:
-        return AlphaVector((self.ratio,))
 
     def literal(self) -> str:
         return f"geom:{rat_str(self.ratio)}"
@@ -227,42 +241,7 @@ class AlphaSequence(SourceSpec):
                     f"ratios {rat_str(a)}, {rat_str(b)} induce an increasing probability pair"
                 )
 
-    def alpha_at(self, i: int) -> Fraction:
-        self._check_index(i)
-        return self.alphas[min(i, len(self.alphas)) - 1]
-
-    def prob(self, i: int) -> Fraction:
-        return self.alpha_at(i) * (self.tail_after(i - 1) if i > 1 else 1)
-
-    def prefix_numerators(self, n: int) -> tuple[list[int], int]:
-        self._check_index(n)
-        alphas, listed = self.alphas, len(self.alphas)
-        a, d = alphas[-1].numerator, alphas[-1].denominator
-        den = prod(x.denominator for x in alphas[:n]) * d ** max(n - listed, 0)
-        nums = [den // alphas[0].denominator * alphas[0].numerator]
-        for x, y in zip(alphas, alphas[1:n]):
-            # p_(m+1) = p_m * y * (1 - x) / x, exactly
-            nums.append(nums[-1] * y.numerator * (x.denominator - x.numerator)
-                        // (x.numerator * y.denominator))
-        return _geometric_run(nums, d - a, d, n - listed), den
-
     prefix_probs = SourceSpec.prefix_probs
-
-    def head_sum(self, n: int) -> Fraction:
-        return 1 - self.tail_after(n)
-
-    def tail_after(self, n: int) -> Fraction:
-        self._check_index(n)
-        listed = len(self.alphas)
-        residual = Fraction(1)
-        for a in self.alphas[: min(n, listed)]:
-            residual *= 1 - a
-        if n > listed:
-            residual *= (1 - self.alphas[-1]) ** (n - listed)
-        return residual
-
-    def alphas_cover(self) -> AlphaVector:
-        return AlphaVector(self.alphas)
 
     def literal(self) -> str:
         return "alpha:[" + ",".join(map(rat_str, self.alphas)) + "]"
@@ -273,8 +252,9 @@ class ExplicitHead(SourceSpec):
     """Explicit leading probabilities, then a geometric split of the rest.
 
     After the listed head the remaining mass M = 1 - sum(head) is spent as
-    M * ratio * (1 - ratio)**(j - 1), which keeps every partial sum in
-    closed form.  The first tail entry must not exceed the last head entry.
+    M * ratio * (1 - ratio)**(j - 1): the alpha cover is the head's
+    conditional ratios, then the constant tail ratio.  The first tail entry
+    must not exceed the last head entry.
     """
 
     head: tuple[Fraction, ...]
@@ -300,65 +280,13 @@ class ExplicitHead(SourceSpec):
             raise PrefixMassReachesOneError(f"head mass {rat_str(mass)} leaves no tail")
         if (1 - mass) * ratio > head[-1]:
             raise NotSortedError("first tail entry exceeds the last head entry")
-
-    def _tail_mass(self) -> Fraction:
-        return 1 - sum(self.head)
-
-    def prob(self, i: int) -> Fraction:
-        self._check_index(i)
-        k = len(self.head)
-        if i <= k:
-            return self.head[i - 1]
-        return self._tail_mass() * self.ratio * (1 - self.ratio) ** (i - k - 1)
-
-    def prefix_numerators(self, n: int) -> tuple[list[int], int]:
-        self._check_index(n)
-        head, tail = self.head[:n], n - len(self.head)
-        lcd = lcm(*(p.denominator for p in head))
-        weights = [p.numerator * (lcd // p.denominator) for p in head]
-        if tail <= 0:
-            return weights, lcd
-        a, d = self.ratio.numerator, self.ratio.denominator
-        # over lcd * d**tail: the head, then the tail mass (lcd - sum(weights))/lcd
-        # times the ratio a/d, and so on by (d - a)/d
-        nums = [v * d**tail for v in weights] + [(lcd - sum(weights)) * a * d ** (tail - 1)]
-        return _geometric_run(nums, d - a, d, tail - 1), lcd * d**tail
+        object.__setattr__(self, "alphas", (*to_alphas(head), ratio))
 
     prefix_probs = SourceSpec.prefix_probs
-
-    def head_sum(self, n: int) -> Fraction:
-        self._check_index(n)
-        k = len(self.head)
-        if n <= k:
-            return sum(self.head[:n])
-        return sum(self.head) + self._tail_mass() * (1 - (1 - self.ratio) ** (n - k))
-
-    def tail_after(self, n: int) -> Fraction:
-        self._check_index(n)
-        k = len(self.head)
-        if n <= k:
-            return 1 - sum(self.head[:n])
-        return self._tail_mass() * (1 - self.ratio) ** (n - k)
-
-    def alphas_cover(self) -> AlphaVector:
-        # conditional ratios over the head, then the constant tail ratio
-        alphas = list(to_alphas(self.head))
-        alphas.append(self.ratio)
-        return AlphaVector(tuple(alphas))
 
     def literal(self) -> str:
         head = ",".join(map(rat_str, self.head))
         return f"head:[{head}]+geom:{rat_str(self.ratio)}"
-
-
-def _geometric_run(nums: list[int], c: int, d: int, count: int) -> list[int]:
-    """Append count terms to nums, each the one before it times c/d (an
-    exact division on a geometric prefix); return nums."""
-    v = nums[-1]
-    for _ in range(count):
-        v = v * c // d
-        nums.append(v)
-    return nums
 
 
 def check_head_sum(spec: SourceSpec, n: int, total: int, den: int) -> None:
@@ -374,7 +302,8 @@ def check_denominator_bits(spec: SourceSpec, n: int) -> int:
     otherwise return that bound on its bits.
 
     p_m = alpha_m * prod_{j<m}(1 - alpha_j), so every p_m with m <= n is a
-    fraction over the product of the alpha denominators up to n, whose bits
+    fraction over the product of the alpha denominators up to n, which is
+    the denominator :meth:`SourceSpec.prefix_numerators` shares; its bits
     are at most the sum of theirs.
     """
     alphas = spec.alphas_cover().alphas

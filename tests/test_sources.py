@@ -1,6 +1,7 @@
 """Infinite source generators, truncation, and the alpha parameterization."""
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -223,6 +224,82 @@ def test_prefix_numerators_match_the_fraction_reference(rng, monkeypatch):
         with pytest.raises(OutOfRangeError):
             sources.check_denominator_bits(spec, n)
         monkeypatch.undo()
+
+
+def closed_form_prob(spec, i):
+    """p_i by the family's own closed form, for a geometric or an
+    explicit-head source."""
+    if isinstance(spec, Geometric):
+        return spec.ratio * (1 - spec.ratio) ** (i - 1)
+    k = len(spec.head)
+    if i <= k:
+        return spec.head[i - 1]
+    return (1 - sum(spec.head)) * spec.ratio * (1 - spec.ratio) ** (i - k - 1)
+
+
+def closed_form_head_sum(spec, n):
+    """S_n by the family's own closed form, as :func:`closed_form_prob`."""
+    if isinstance(spec, Geometric):
+        return 1 - (1 - spec.ratio) ** n
+    k = len(spec.head)
+    if n <= k:
+        return sum(spec.head[:n])
+    return sum(spec.head) + (1 - sum(spec.head)) * (1 - (1 - spec.ratio) ** (n - k))
+
+
+def closed_form_specs(rng):
+    specs = [
+        Geometric(F(1, 4)),
+        Geometric(F(2, 7)),
+        Geometric(F(1, 10**40)),
+        ExplicitHead((F(1, 3), F(1, 4)), F(1, 3)),
+        ExplicitHead((F(1, 3),), F(1, 2)),
+        ExplicitHead((F(2, 5), F(1, 5), F(1, 5)), F(1, 2)),
+    ]
+    while len(specs) < 40:
+        spec = random_source(rng)
+        if not isinstance(spec, AlphaSequence):
+            specs.append(spec)
+    return specs
+
+
+def test_alpha_cover_code_matches_the_family_closed_forms(rng):
+    # p_i, S_n and 1 - S_n come from the alpha cover for every family; the
+    # per-family closed forms they replaced are the reference
+    for spec in closed_form_specs(rng):
+        want = [closed_form_prob(spec, i) for i in range(1, 65)]
+        assert spec.prefix_probs(64) == want, spec.literal()
+        for n in range(1, 65):
+            assert spec.prob(n) == want[n - 1], (spec.literal(), n)
+            sn = closed_form_head_sum(spec, n)
+            assert spec.head_sum(n) == sn, (spec.literal(), n)
+            assert spec.tail_after(n) == 1 - sn, (spec.literal(), n)
+
+
+def test_geometric_prefix_is_the_one_ratio_alpha_prefix(rng):
+    ratios = [F(1, 4), F(2, 7), F(1, 10**40)]
+    for _ in range(20):
+        q = rng.randint(2, 60)
+        ratios.append(F(rng.randint(1, q - 1), q))
+    for r in ratios:
+        for n in range(1, 65):
+            nums, den = Geometric(r).prefix_numerators(n)
+            assert (nums, den) == AlphaSequence((r,)).prefix_numerators(n)
+            assert den == r.denominator**n
+
+
+def test_prefix_den_is_the_alpha_denominator_product(rng):
+    specs = [random_source(rng) for _ in range(40)]
+    specs += [s for s in closed_form_specs(rng) if isinstance(s, ExplicitHead)]
+    for spec in specs:
+        if isinstance(spec, ExplicitHead):
+            cover = to_alphas(spec.head).alphas + (spec.ratio,)
+        else:
+            cover = spec.alphas_cover().alphas
+        for n in range(1, 65):
+            _, den = spec.prefix_numerators(n)
+            want = prod(cover[min(i, len(cover)) - 1].denominator for i in range(1, n + 1))
+            assert den == want, (spec.literal(), n)
 
 
 def test_prefix_numerators_need_a_symbol():
