@@ -14,7 +14,7 @@ canonical codeword assignment) and labels each entry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from prefixcode import kernel
 from prefixcode.antiuniform import alpha_criterion
@@ -54,8 +54,8 @@ def check_sweep_work(spec: SourceSpec, n_max: int) -> int:
     estimate.
 
     Truncation n costs at most min(n, L + 2/alpha_L + 1) merges (the
-    frontier bound of :func:`_sweep`), each an addition of at most the bits
-    of the n_max denominator (:func:`check_denominator_bits`).
+    frontier bound of :mod:`prefixcode.kernel`), each an addition of at most
+    the bits of the n_max denominator (:func:`check_denominator_bits`).
     """
     bits = check_denominator_bits(spec, n_max)
     cover = spec.alphas_cover().alphas
@@ -71,42 +71,35 @@ def check_sweep_work(spec: SourceSpec, n_max: int) -> int:
     return work
 
 
-def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[list[int]]:
+def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> list[list[int]]:
     """Huffman lengths of symbols 1..depth in the truncations n = n_min..n_max,
     in order (all n lengths where depth >= n).
 
     Merging is scale-invariant, so truncation n codes the integer prefix
     ``nums[:n]`` of the n_max prefix over one shared denominator (the
     spec's ``prefix_numerators``) instead of renormalizing by S_n; the
-    lengths equal those of ``truncate(spec, n)``.
-    The checks a truncated distribution makes still hold: positivity and
-    sortedness of the n_max prefix (every shorter prefix inherits them), and
-    an exact partial sum S_n for every n.  S_n is 1 minus the product of
-    (1 - alpha_j) over j <= n, which the alpha cover gives as one integer
-    fraction, a small factor per n; once S_(n-1) is checked, 1 - S_n is
-    checked against (1 - S_(n-1))*(1 - alpha_n), so each n multiplies only
-    by the small factor.  The spec's one product formula for S_n, over
-    its own ratios (:func:`check_head_sum`), is consulted at n_max and on
-    any mismatch.
+    lengths equal those of ``truncate(spec, n)``.  The prefix is checked
+    whole before any truncation is coded, so a faulty source costs no merges:
 
-    The truncations do not rerun the merge loop one by one.  With L the
-    length of the alpha cover and c/d = 1 - alpha_L, the weights from p_L on
-    shrink by c/d, so the tail V_n = {p_L, ..., p_n} obeys
-    V_(n+1) = {p_L} + (c/d)*V_n, and every merge below p_L stays in the tail.
-    :func:`kernel.tail_depths` keeps those merges as one frontier shared by
-    every truncation and finishes each truncation from the L - 1 head
-    weights plus the frontier.  Stepping to n + 1 scales the queued sums by
-    c/d, an exact division, since each is a sum of tail weights p_j with
-    j <= n and p_j*c/d = p_(j+1).  The frontier items hold the tail's mass,
-    below p_L/alpha_L, and any two of them sum to at least p_L, so all but
-    one are at least p_L/2: there are at most 2/alpha_L + 1 of them, and
-    the sweep does O(L + 1/alpha_L) merges per n instead of n.  That rests
-    on the prefix being geometric from p_L on, so p_(n+1)*d = p_n*c is
-    checked in integers for every n >= L, below n_min too, before
-    truncation n + 1 is coded; a prefix that breaks its own cover is a bug
-    of the source and raises :class:`RuntimeError`.
-    Truncations n <= L run the plain kernel.  The frontier bound caps the
-    sweep's work before any term is built (:func:`check_sweep_work`).
+    * positivity and sortedness of the n_max prefix, which every shorter
+      prefix inherits;
+    * an exact partial sum S_n for every n >= n_min, as a truncated
+      distribution checks it.  S_n is 1 minus the product of (1 - alpha_j)
+      over j <= n, which the alpha cover gives as one integer fraction, a
+      small factor per n; once S_(n-1) is checked, 1 - S_n is checked
+      against (1 - S_(n-1))*(1 - alpha_n), so each n multiplies only by
+      the small factor.  The spec's one product formula for S_n, over its
+      own ratios (:func:`check_head_sum`), is consulted at n_max and on any
+      mismatch;
+    * the tail ratio p_(n+1)*d = p_n*c for every n >= L, below n_min too,
+      with L the length of the alpha cover and c/d = 1 - alpha_L.
+      :func:`kernel.tail_depths` shares the merges below p_L across
+      truncations only because the prefix is geometric from p_L on; a
+      prefix that breaks its own cover is a bug of the source and raises
+      :class:`RuntimeError`.
+
+    The sweep's work is capped before any term is built
+    (:func:`check_sweep_work`).
     """
     if not 2 <= n_min <= n_max <= MAX_TRUNCATION:
         raise OutOfRangeError(
@@ -119,7 +112,6 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[lis
     factors = [(a.denominator - a.numerator, a.denominator) for a in cover]
     tail = len(cover)
     c, d = factors[-1]
-    frontier = kernel.tail_depths(nums, tail, c, d, n_min, depth)
     rest, scale = den, 1  # the cover's 1 - S_n, over den, is rest / scale
     total = 0  # S_n = total / den
     for n in range(1, n_max + 1):
@@ -141,8 +133,7 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> Iterator[lis
                 f"{spec.literal()}: p_{n}/p_{n - 1} is not the alpha cover's tail "
                 f"ratio {c}/{d}"
             )
-        if n >= n_min:
-            yield kernel.leading_depths(nums[:n], depth) if n <= tail else next(frontier)
+    return list(kernel.tail_depths(nums, tail, c, d, n_min, depth))
 
 
 def truncation_sequence(spec: SourceSpec, n_min: int, n_max: int) -> list[LengthVector]:

@@ -14,9 +14,8 @@ The loop records only each merge sum and the queue head after each merge.
 Everything else follows from those two lists: merge m pops the queued sums
 between its two heads, and its other pops are the next unmerged leaves,
 largest index first.  :func:`run_merges` derives depths and insertion
-indices after the loop; :func:`leading_depths` walks from the root down
-only as far as the first d leaves.  Those two lists are also the whole
-state of the loop, so a run can stop before a bound and resume later.
+indices after the loop.  Those two lists are also the whole state of the
+loop, so a run can stop before a bound and resume later.
 
 The record is allocated once per run and never grown or trimmed.  Merge
 m (0-based) writes the number of sums merged before it to slot m of
@@ -40,7 +39,8 @@ as the largest leaf and the run resumes up to the bound p_L.  Any two
 frontier items sum to at least p_L, and together they hold the tail's mass,
 below p_L/(1 - c/d), so there are at most min(n, 2/(1 - c/d) + 1) of them.
 Truncation n is finished from the head weights plus the frontier, and the
-finishing merges are then dropped from the shared record.
+finishing merges are then dropped from the shared record.  A truncation
+n <= L has no tail merges to share, so its finishing merges are a full run.
 
 The sweep keeps one record of len(nums) slots for all its truncations.
 Slots ``0..shared-1`` hold the shared tail merges, and the queued sums
@@ -167,20 +167,6 @@ def run_merges(nums):
     return _leaf_depths(n, heads, n), ks, sums
 
 
-def leading_depths(nums, d):
-    """Depths of the first ``min(d, n)`` leaves: ``run_merges(nums)[0][:d]``.
-
-    Runs the same loop, then walks from the root down only to the level
-    that takes leaf d-1.  The largest weights merge last, so on a
-    fast-decaying source that is O(d) steps, not the whole tree.
-    """
-    n = len(nums)
-    if n < 2:
-        raise ValueError("need at least two weights")
-    d = min(d, n)
-    return _leaf_depths(n, _run(nums, n - 1)[1], d)[:d]
-
-
 def state_after(nums, steps):
     """Weight list after the first `steps` merges (0 gives a copy of nums)."""
     n = len(nums)
@@ -202,31 +188,30 @@ def merge_until(nums, bound):
 
 
 def tail_depths(nums, tail, c, d, n_min, depth):
-    """Leading depths, as :func:`leading_depths` gives them, of the
-    truncations ``nums[:n]`` for n = max(n_min, tail + 1) .. len(nums), one
-    list per n, when the weights from ``nums[tail - 1]`` on shrink by the
-    ratio c/d: ``nums[j + 1] * d == nums[j] * c`` for every j >= tail - 1.
+    """Depths of the first `depth` leaves, ``run_merges(nums[:n])[0][:depth]``,
+    of the truncations ``nums[:n]`` for n = n_min .. len(nums), one list per
+    n, when the weights from ``nums[tail - 1]`` on shrink by the ratio c/d:
+    ``nums[j + 1] * d == nums[j] * c`` for every j >= tail - 1.
 
-    The truncations share one merge frontier (see the module docstring), so
-    each n costs O(tail + d/(d - c)) merges rather than n.  Truncation n
-    uses only ``nums[:n]`` and is coded only when it is asked for, so a
-    caller may check each weight against the ratio as the sweep goes.
+    The truncations past the head share one merge frontier (see the module
+    docstring), so each n costs O(tail + d/(d - c)) merges rather than n.
+    Each list walks from the root down only to the level of leaf
+    ``depth - 1``: the largest weights merge last, so on a fast-decaying
+    source that is O(depth) steps, not the whole tree.
     """
-    if len(nums) <= tail:
-        return
     leaves = _leaves(nums)
     top = leaves[0]
-    bound = leaves[tail]  # the largest tail weight
     # one record for the whole sweep: sums[:shared] are the tail merges
     # every truncation shares, and sums[shared] is the sentinel
     sums, heads = [top] * len(nums), [0] * len(nums)
     shared = 0
-    for n in range(tail + 1, len(nums) + 1):
-        for i in range(heads[shared], shared):  # the queued sums
-            sums[i] = sums[i] * c // d
-        # the tail holds n - tail + 1 - shared items; the bound keeps the
-        # largest tail weight, so at most that many less one can merge
-        shared = _merge(leaves, n, sums, heads, shared, n - tail, bound)
+    for n in range(2, len(nums) + 1):
+        if n > tail:
+            for i in range(heads[shared], shared):  # the queued sums
+                sums[i] = sums[i] * c // d
+            # the tail holds n - tail + 1 - shared items; the bound keeps
+            # the largest tail weight, so at most that many less one merge
+            shared = _merge(leaves, n, sums, heads, shared, n - tail, leaves[tail])
         if n >= n_min:
             _merge(leaves, n, sums, heads, shared, n - 1, top)
             yield _leaf_depths(n, heads, min(depth, n))[:depth]

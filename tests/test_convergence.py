@@ -468,10 +468,16 @@ def test_final_run_starts_when_one_symbol_changes_at_a_time(rng):
         assert _final_run_starts(seq, 7) == [s + 5 for s in _reference_final_run_starts(seq)]
 
 
+def leading_depths(nums, d):
+    """Depths of the first d leaves of the full run over `nums`; like
+    :func:`kernel.run_merges`, raises ValueError below two weights."""
+    return kernel.run_merges(nums)[0][:d]
+
+
 def _per_n_depths(spec, n_min, n_max, depth):
     """The sweep as it first ran: the kernel from scratch on every prefix."""
     nums, _ = common_numerators(spec.prefix_probs(n_max))
-    return [kernel.leading_depths(nums[:n], depth) for n in range(n_min, n_max + 1)]
+    return [leading_depths(nums[:n], depth) for n in range(n_min, n_max + 1)]
 
 
 def _random_alpha_spec(rng):
@@ -504,3 +510,39 @@ def test_frontier_sweep_equals_per_n_kernel_on_random_alpha_lists(rng):
 )
 def test_frontier_sweep_equals_per_n_kernel_at_512(spec):
     assert list(_sweep(spec, 2, 512, 16)) == _per_n_depths(spec, 2, 512, 16)
+
+
+TEN_HALVES = AlphaSequence((F(1, 2),) * 10)
+
+
+def test_sweep_of_head_only_truncations_equals_per_n_kernel():
+    # the cover is 10 ratios long, so no truncation up to n = 8 has a tail
+    assert len(TEN_HALVES.alphas_cover().alphas) == 10
+    for n_min in (2, 5, 8):
+        for depth in (1, 2, 8):
+            assert list(_sweep(TEN_HALVES, n_min, 8, depth)) == _per_n_depths(
+                TEN_HALVES, n_min, 8, depth
+            )
+
+
+@pytest.mark.parametrize("spec, n_bad", [(_WrongProb(F(1, 4), 20), 20),
+                                         (_WrongHeadSum(F(1, 4)), 40)],
+                         ids=["wrong-p20", "wrong-head-sum"])
+def test_faulty_prefix_is_refused_before_any_truncation_is_coded(
+    spec, n_bad, monkeypatch
+):
+    # _WrongProb misses S_20; _WrongHeadSum is caught only at n_max = 40
+    want = str(NotNormalizedError(sum(spec.prefix_probs(n_bad)) / spec.head_sum(n_bad)))
+    coded = []
+    tail_depths = kernel.tail_depths
+
+    def counting(*args):
+        for depths in tail_depths(*args):
+            coded.append(depths)
+            yield depths
+
+    monkeypatch.setattr(kernel, "tail_depths", counting)
+    with pytest.raises(NotNormalizedError) as got:
+        truncation_sequence(spec, 2, 40)
+    assert str(got.value) == want
+    assert coded == []

@@ -11,7 +11,7 @@ from prefixcode import Geometric, kernel
 from prefixcode.errors import TooFewEntriesError
 from prefixcode.huffman import MergeState
 from prefixcode.numutil import common_numerators
-from test_convergence import _random_alpha_spec
+from test_convergence import _random_alpha_spec, leading_depths
 
 
 def reference_merges(nums):
@@ -189,6 +189,13 @@ def test_merge_until_stops_at_the_first_sum_reaching_the_bound(rng):
             assert vals == ([nums] + states)[steps]
 
 
+def _own_depths(nums, d):
+    """The first d depths of truncation ``nums`` alone, coded by
+    :func:`kernel.tail_depths` as a head-only truncation: with the whole
+    prefix as head, the tail ratio (here 1/1) is never read."""
+    return next(kernel.tail_depths(nums, len(nums), 1, 1, len(nums), d))
+
+
 def differential_inputs(rng):
     """3000 seeded tie-prone inputs, n in 2..80, weights from five ranges."""
     for _ in range(3000):
@@ -203,7 +210,7 @@ def test_kernel_equals_reference_on_random_inputs(rng):
         assert kernel.run_merges(nums) == tuple(run)
         n = len(nums)
         for d in (1, 2, 16, n - 1, n, n + 1):
-            assert kernel.leading_depths(nums, d) == run[0][:d]
+            assert _own_depths(nums, d) == run[0][:d]
         assert [kernel.state_after(nums, m) for m in range(len(nums))] == [nums] + states
         total = sum(nums)
         for bound in (nums[0], rng.randint(1, total), total, total + 1):
@@ -218,7 +225,7 @@ def test_kernel_equals_reference_on_geometric_prefixes():
         *run, _, states = reference_merges(nums)
         assert kernel.run_merges(nums) == tuple(run)
         for d in (1, 16, n):
-            assert kernel.leading_depths(nums, d) == run[0][:d]
+            assert _own_depths(nums, d) == run[0][:d]
         for bound in (nums[0], sum(nums), sum(nums) + 1):
             assert kernel.merge_until(nums, bound) == reference_merge_until(nums, bound)
         if n % 50 == 0:
@@ -238,11 +245,6 @@ def test_reference_equals_fraction_merge_step(rng):
             assert state.probs == tuple(Fraction(v, den) for v in expected)
 
 
-def test_leading_depths_rejects_single_weight():
-    with pytest.raises(ValueError):
-        kernel.leading_depths([7], 1)
-
-
 def test_tail_depths_equal_leading_depths_of_each_truncation(rng):
     # a sorted head of small integers, then a tail of ratio c/d from nums[tail - 1]
     for _ in range(200):
@@ -256,8 +258,7 @@ def test_tail_depths_equal_leading_depths_of_each_truncation(rng):
         n_min = rng.randint(2, max(2, len(nums)))
         for depth in (1, 3, len(nums)):
             assert list(kernel.tail_depths(nums, tail, c, d, n_min, depth)) == [
-                kernel.leading_depths(nums[:n], depth)
-                for n in range(max(n_min, tail + 1), len(nums) + 1)
+                leading_depths(nums[:n], depth) for n in range(n_min, len(nums) + 1)
             ]
 
 
@@ -272,29 +273,31 @@ def _alpha_sweep_inputs(rng, n_max):
     return nums, len(cover), alpha.denominator - alpha.numerator, alpha.denominator
 
 
-def _per_n_leading_depths(nums, tail, n_min, depth):
-    return [kernel.leading_depths(nums[:n], depth)
-            for n in range(max(n_min, tail + 1), len(nums) + 1)]
+def _per_n_leading_depths(nums, n_min, depth):
+    return [leading_depths(nums[:n], depth) for n in range(n_min, len(nums) + 1)]
 
 
-def test_tail_depths_yields_nothing_without_a_tail_truncation(rng):
-    # a prefix no longer than the cover holds no truncation past the head
+def test_tail_depths_codes_head_only_prefixes_like_per_n_full_runs(rng):
+    # a prefix no longer than the cover holds no truncation past the head,
+    # so each truncation is coded as a full run
     for _ in range(100):
         nums, tail, c, d = _alpha_sweep_inputs(rng, rng.randint(1, 6))
-        if len(nums) <= tail:
-            assert list(kernel.tail_depths(nums, tail, c, d, 2, 4)) == []
-        assert list(kernel.tail_depths(nums, len(nums), c, d, 2, 4)) == []
+        for depth in (1, 4):
+            expected = _per_n_leading_depths(nums, 2, depth)
+            if len(nums) <= tail:
+                assert list(kernel.tail_depths(nums, tail, c, d, 2, depth)) == expected
+            assert list(kernel.tail_depths(nums, len(nums), c, d, 2, depth)) == expected
 
 
 def test_tail_depths_equal_leading_depths_on_random_alpha_lists(rng):
     for _ in range(150):
         nums, tail, c, d = _alpha_sweep_inputs(rng, rng.randint(2, 120))
         size = len(nums)
-        # from the first tail truncation, from a later one, and past the end
+        # from the first truncation, from one inside the tail, and past the end
         for n_min in (2, tail + 1 + rng.randint(1, 8), size + 1):
             for depth in (1, rng.randint(1, size), size, size + 3):
                 assert list(kernel.tail_depths(nums, tail, c, d, n_min, depth)) == \
-                    _per_n_leading_depths(nums, tail, n_min, depth), (nums, tail, n_min, depth)
+                    _per_n_leading_depths(nums, n_min, depth), (nums, tail, n_min, depth)
 
 
 def test_two_sweeps_over_the_same_inputs_agree(rng):
@@ -304,7 +307,7 @@ def test_two_sweeps_over_the_same_inputs_agree(rng):
         nums, tail, c, d = _alpha_sweep_inputs(rng, rng.randint(2, 90))
         kept = list(nums)
         depth = rng.randint(1, 6)
-        expected = _per_n_leading_depths(nums, tail, 2, depth)
+        expected = _per_n_leading_depths(nums, 2, depth)
         assert list(kernel.tail_depths(nums, tail, c, d, 2, depth)) == expected
         assert list(kernel.tail_depths(nums, tail, c, d, 2, depth)) == expected
         both = zip(kernel.tail_depths(nums, tail, c, d, 2, depth),
