@@ -56,11 +56,25 @@ from prefixcode.huffman import (
 from prefixcode.intervals import L1Interval, classify_l1, coverage_sum
 from prefixcode.numutil import decimal_ceil, decimal_floor, decimal_str, rat_str, weight_strs
 from prefixcode.oracle import count_kraft_tight, optimal_lengths
-from prefixcode.sources import SourceSpec, truncate
+from prefixcode.sources import MAX_TRUNCATION, SourceSpec, check_denominator_bits, truncate
 
 # the trace file grows as O(n**2): 300 MB for geom:1/4 at n = 800, and
 # 40 GB at the truncation cap of 4096
 MAX_TRACE_BYTES = 1 << 30
+
+# bytes of trace lines gathered before each write of the file: smaller
+# blocks cost more writes, and 1 MiB blocks added about 1 MiB of RSS and
+# were no faster
+TRACE_BLOCK_BYTES = 1 << 18
+
+# Largest n * bits**2 of a truncation a report renders, with bits the bound
+# of check_denominator_bits on its shared denominator: each of its n weights
+# costs one gcd and one str, both quadratic in the bits.  The denominator
+# cap alone admits a 2**-255 ratio at n = 1024, whose `delta --truncate`
+# rendered for 285 s (7.0e13).  2**41, about 2.2e12, admits every
+# truncation the tests, the benchmark and the README render; the largest,
+# alpha:[3/7,2/5,9/20] at n = 4096, needs 1.7e12.
+MAX_RENDER_WORK = 1 << 41
 
 PROVENANCE = {
     "tool": f"prefixcode {__version__}",
@@ -81,13 +95,44 @@ def _resolve_finite(source: str, truncate_n: int | None) -> tuple[FiniteDistribu
             "infinite source literal needs --truncate N to analyze a finite code"
         )
     inputs["truncate"] = truncate_n
+    if 2 <= truncate_n <= MAX_TRUNCATION:  # truncate() refuses any other n
+        _check_render_work(parsed, truncate_n)
     return truncate(parsed, truncate_n), inputs
 
 
+def _check_render_work(spec: SourceSpec, n: int) -> int:
+    """Raise :class:`OutOfRangeError` before any term is built if rendering
+    the truncation to n could pass MAX_RENDER_WORK; otherwise return that
+    estimate, n weights of up to :func:`check_denominator_bits` bits each."""
+    bits = check_denominator_bits(spec, n)
+    work = n * bits * bits
+    if work > MAX_RENDER_WORK:
+        raise OutOfRangeError(
+            f"rendering the truncation to n = {n} needs up to {work} squared-bit "
+            f"operations, which exceeds the limit of {MAX_RENDER_WORK}")
+    return work
+
+
 def _write_trace(trace: MergeTrace, path: str) -> None:
-    # one line at a time: the whole trace is O(n**2) characters
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(line + "\n" for line in trace.iter_json_lines())
+    # the whole trace is O(n**2) characters, so its lines are generated one
+    # at a time and gathered into blocks of at least TRACE_BLOCK_BYTES, each
+    # handed to the unbuffered file in one write: a few large writes, and no
+    # text or buffer layer between the lines and the file
+    with open(path, "wb", buffering=0) as f:
+        block = bytearray()
+        for line in trace.iter_json_lines():
+            block += line.encode("ascii")
+            block += b"\n"
+            if len(block) >= TRACE_BLOCK_BYTES:
+                _write_block(f, block)
+        _write_block(f, block)
+
+
+def _write_block(f, block: bytearray) -> None:
+    """Write all of ``block`` to the unbuffered file ``f``, which may take
+    only part of it per call, and leave ``block`` empty."""
+    while block:
+        del block[:f.write(block)]
 
 
 def _code(dist: FiniteDistribution, traced: bool) -> tuple[LengthVector, MergeTrace | None]:

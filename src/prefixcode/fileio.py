@@ -64,26 +64,27 @@ def _shared_denominator(text: str) -> FiniteDistribution | None:
     denominator D; None for any other text.  A missing final newline is
     added first, so an export that ends without one reads whole too.
 
-    A few whole-string operations decide the shape and one ``map(int, ...)``
-    converts the numerators: no regex and no per-line loop, which keeps the
-    peak memory of a 4096-line file below the line loop's.
+    One split of the text on "/D\\n" decides the shape and one
+    ``map(int, ...)`` converts the numerators: no regex and no per-line
+    loop, which keeps the peak memory of a 4096-line file below the line
+    loop's.
     """
     if not text.endswith("\n"):
         text += "\n"
     _, slash, den = text[:text.find("\n")].partition("/")
     if not (slash and den.isdigit() and den.strip("0")):
         return None
-    body = text.replace(f"/{den}\n", "\n")
-    # each line must lose exactly one "/D" (a line without it, such as a
-    # plain integer, loses none); a numerator left empty or a line over
-    # another denominator leaves an empty line or a non-digit behind.
-    # Non-ASCII digits read as Fraction reads them, or fail int() below.
-    if not (len(text) - len(body) == (len(den) + 1) * body.count("\n")
-            and not body.startswith("\n") and "\n\n" not in body
-            and body.replace("\n", "").isdigit()):
+    pieces = text.split(f"/{den}\n")
+    # every line ends in "/D\n", so the last piece is empty, and every other
+    # piece is one run of digits: a line without "/D" (such as a plain
+    # integer) or over another denominator joins a piece with a newline or
+    # is left behind the last "/D\n", and an empty numerator leaves an
+    # empty piece.  Non-ASCII digits read as Fraction reads them, or fail
+    # int() below.
+    if pieces.pop() or not all(map(str.isdigit, pieces)):
         return None
     try:
-        nums = tuple(map(int, body.split()))
+        nums = tuple(map(int, pieces))
         den = int(den)
     except ValueError:  # a literal past the int-to-str digit limit
         return None

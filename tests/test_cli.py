@@ -1,6 +1,8 @@
 """CLI subcommands: JSON reports, consistency, exit codes."""
 
 import importlib
+import io
+import itertools
 import json
 import os
 import re
@@ -208,6 +210,105 @@ def test_traced_analyze_renders_each_input_weight_once(capsys, monkeypatch):
     assert sorted(v for nums, den in rendered for v in nums if v in dist.nums) == sorted(dist.nums)
 
 
+class RawRecorder(io.RawIOBase):
+    """An unbuffered file that records the size of each write it takes, and
+    takes at most ``most`` bytes per call."""
+
+    def __init__(self, path, most=None):
+        self.file = io.FileIO(path, "w")
+        self.most = most
+        self.sizes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        size = self.file.write(data[:self.most])
+        self.sizes.append(size)
+        return size
+
+    def close(self):
+        self.file.close()
+        super().close()
+
+
+def record_opened_files(monkeypatch, most=None):
+    """Route the CLI's ``open`` through a :class:`RawRecorder`, under the
+    buffer and text layers its mode asks for; the list of the recorders
+    opened, to be read once the command is done."""
+    opened = []
+
+    def opening(path, mode="r", buffering=-1, encoding=None):
+        raw = RawRecorder(path, most)
+        opened.append(raw)
+        if buffering == 0:
+            return raw
+        buffered = io.BufferedWriter(raw)
+        return buffered if "b" in mode else io.TextIOWrapper(buffered, encoding=encoding)
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize("argv, dist", [
+    (["analyze", "geom:1/4", "--truncate", "2"], truncate(Geometric(F(1, 4)), 2)),
+    (["analyze", "file:{dist_file}"], None),
+    (["analyze", "geom:1/4", "--truncate", "40"], truncate(Geometric(F(1, 4)), 40)),
+    (["counterexample", "3", "--epsilon", "1/24"], counterexample(3, F(1, 24))),
+], ids=["n=2", "file", "n=40", "counterexample"])
+@pytest.mark.parametrize("block", [1, 100, "first line", None],
+                         ids=["1", "100", "first-line", "default"])
+def test_trace_is_written_in_blocks_of_whole_lines(capsys, dist_file, tmp_path, monkeypatch,
+                                                   argv, dist, block):
+    # a block of 1 writes every line on its own; 100 bytes is straddled by
+    # the lines of the file's 4 symbols and exceeded by every line at
+    # n = 40; "first line" is filled exactly by the first line
+    argv = [a.format(dist_file=dist_file) for a in argv]
+    lines = reference_trace_lines(dist or read_distribution_file(dist_file))
+    if block == "first line":
+        block = len(lines[0]) + 1
+    if block is None:
+        block = cli.TRACE_BLOCK_BYTES
+    else:
+        monkeypatch.setattr(cli, "TRACE_BLOCK_BYTES", block)
+    opened = record_opened_files(monkeypatch)
+    path = tmp_path / "trace.jsonl"
+    run_json(capsys, argv + ["--trace", str(path)])
+    data = path.read_bytes()
+    assert data == ("\n".join(lines) + "\n").encode()
+    [raw] = opened
+    ends = list(itertools.accumulate(raw.sizes))
+    assert ends[-1] == len(data)
+    # each write holds whole lines, the fewest that reach the block; only
+    # the last may fall short of it
+    for start, end in zip([0, *ends], ends):
+        chunk = data[start:end]
+        assert chunk.endswith(b"\n")
+        assert chunk.rfind(b"\n", 0, -1) + 1 < block
+        assert len(chunk) >= block or end == len(data)
+
+
+def test_trace_reaches_its_file_in_blocks(capsys, tmp_path, monkeypatch):
+    # 19.4 MB in 319 lines of up to 119 kB each
+    opened = record_opened_files(monkeypatch)
+    path = tmp_path / "trace.jsonl"
+    run_json(capsys, ["analyze", "geom:1/4", "--truncate", "320", "--trace", str(path)])
+    size = path.stat().st_size
+    [raw] = opened
+    assert sum(raw.sizes) == size == 19388006
+    assert len(raw.sizes) <= -(-size // cli.TRACE_BLOCK_BYTES) + 1
+
+
+def test_short_writes_still_receive_the_whole_trace(capsys, tmp_path, monkeypatch):
+    opened = record_opened_files(monkeypatch, most=1000)
+    path = tmp_path / "trace.jsonl"
+    run_json(capsys, ["analyze", "geom:1/4", "--truncate", "100", "--trace", str(path)])
+    assert path.read_bytes() == (
+        "\n".join(reference_trace_lines(truncate(Geometric(F(1, 4)), 100))) + "\n").encode()
+    [raw] = opened
+    assert max(raw.sizes) == 1000
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "file:{dist_file}", "--trace"],
     ["counterexample", "2", "--trace"],
@@ -370,6 +471,30 @@ def test_knob_past_its_cap_exits_2_at_once(capsys, argv):
     assert run(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "delta"])
+def test_render_past_its_cap_exits_2_at_once(capsys, command):
+    # within the denominator cap (2**18 bits at n = 1024), but rendering
+    # the weights of this truncation took 285 s
+    start = time.perf_counter()
+    assert run([command, f"geom:1/{2**255}", "--truncate", "1024"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: rendering the truncation to n = 1024 needs up to {1024 * 2**36} squared-bit "
+        f"operations, which exceeds the limit of {cli.MAX_RENDER_WORK}\n")
+
+
+def test_render_cap_is_checked_on_the_denominator_bound(capsys, monkeypatch):
+    # the cap admits the largest truncation the tests and the README
+    # render; geom:1/4 has 3 bits per term
+    assert cli._check_render_work(parse_source("alpha:[3/7,2/5,9/20]"), 4096) == 4096 * 20476**2
+    argv = ["delta", "geom:1/4", "--truncate", "64"]
+    monkeypatch.setattr(cli, "MAX_RENDER_WORK", 64 * 192**2)
+    run_json(capsys, argv)
+    monkeypatch.setattr(cli, "MAX_RENDER_WORK", 64 * 192**2 - 1)
+    assert run(argv) == 2
+    assert "exceeds the limit of" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, name", [
