@@ -15,9 +15,10 @@ every later call in the process; argparse keeps no state between parses.
 returns, without json's pure-Python encoder, which ``indent`` selects.
 
 ``--trace PATH`` refuses a trace file over MAX_TRACE_BYTES before the
-report is built, by the trace's O(1) ceiling, then its bit-length floor,
-then its exact size, each only when the one before cannot decide.  A
-traced report takes its ``probs`` from the trace's own rendering, so each
+report is built, by the trace's ceiling, then its bit-length floor, then
+its exact size, each only when the one before cannot decide.  A traced
+report takes its ``probs`` from the trace's own rendering, and an analysis
+takes its delta state's unmerged leaves from ``probs``, so each input
 weight is rendered once.  An output path is used whenever it is given,
 even when empty; a path that cannot be written exits 2.
 """
@@ -46,6 +47,7 @@ from prefixcode.errors import OutOfRangeError, PrefixCodeError, TailNotComputabl
 from prefixcode.fileio import parse_rational, parse_source, read_distribution_file
 from prefixcode.huffman import (
     LengthVector,
+    MergeState,
     MergeTrace,
     canonical_codebook,
     expected_length,
@@ -140,8 +142,8 @@ def _code(dist: FiniteDistribution, traced: bool) -> tuple[LengthVector, MergeTr
     when one is asked for; a trace longer than MAX_TRACE_BYTES is refused
     before the report is built or the file opened.
 
-    The sizes run from cheapest to exact: a trace whose O(1) ceiling is
-    within the cap is not sized further; otherwise the bit-length floor
+    The sizes run from cheapest to exact: a trace whose ceiling is within
+    the cap is not sized further; otherwise the bit-length floor
     refuses most oversized traces unrendered, and the exact size decides
     the rest."""
     if not traced:
@@ -166,17 +168,34 @@ def _probs(dist: FiniteDistribution, trace: MergeTrace | None) -> list[str]:
     return weight_strs(dist.nums, dist.den) if trace is None else trace.input_strs()
 
 
-def _delta_payload(dist: FiniteDistribution) -> dict:
+def _delta_payload(dist: FiniteDistribution, probs: list[str] | None = None) -> dict:
     result = delta_occasion(dist)
     payload: dict = {"kind": result.kind.name}
     if result.kind is DeltaKind.TRIVIAL:
         payload["l1"] = 1
         payload["note"] = "p1 >= 1/2 forces a one-bit top codeword"
     else:
+        state = result.state
         payload["delta"] = result.delta
-        payload["state"] = weight_strs(result.state.nums, result.state.den)
+        payload["state"] = (weight_strs(state.nums, state.den) if probs is None
+                            else _state_strs(dist, state, probs))
         payload["l1_floor_log2"] = result.l1
     return payload
+
+
+def _state_strs(dist: FiniteDistribution, state: MergeState, probs: list[str]) -> list[str]:
+    """The rendered merge ``state`` of ``dist``: its unmerged leaves, the
+    largest weights of ``dist`` in order, are taken from ``dist``'s rendered
+    ``probs``, and only its queued sums are rendered.  An entry equal to the
+    next leaf is taken as it, since a sum of that value renders the same."""
+    scale = dist.den // state.den  # the state is stored in lowest terms
+    leaf, is_leaf = 0, []
+    for v in state.nums:
+        is_leaf.append(leaf < dist.n and dist.nums[leaf] == v * scale)
+        leaf += is_leaf[-1]
+    leaves = iter(probs)
+    sums = iter(weight_strs([v for v, hit in zip(state.nums, is_leaf) if not hit], state.den))
+    return [next(leaves) if hit else next(sums) for hit in is_leaf]
 
 
 def _classification_payload(p1: Fraction) -> dict:
@@ -206,7 +225,7 @@ def _analysis_payload(dist: FiniteDistribution, lengths: LengthVector,
         "codewords": list(canonical_codebook(lengths)),
         "expected_length": rat_str(expected_length(dist, lengths)),
         "kraft_sum": rat_str(kraft_sum(lengths)),
-        "delta": _delta_payload(dist),
+        "delta": _delta_payload(dist, probs),
         "l1": {
             "from_tree": lengths[0],
             "classification": _classification_payload(dist.p1),
@@ -296,9 +315,9 @@ def _csv_text(seq: Sequence[Sequence[int]], depth: int, n_min: int) -> str:
 
 
 def _cmd_converge(args) -> tuple[dict, dict]:
-    spec = parse_source(args.spec)
-    if not isinstance(spec, SourceSpec):
+    if args.spec.strip().startswith("file:"):  # refused before the file is read
         raise PrefixCodeError("converge needs an infinite source literal (geom:/alpha:)")
+    spec = parse_source(args.spec)
     report = estimate_optimal_lengths(
         spec, depth=args.depth, n_max=args.nmax, window=args.window
     )

@@ -60,15 +60,6 @@ def _record(m: object, k: object, merged: str, state: str) -> str:
 _RECORD_FIXED = len(_record("", "", "", "") + "\n")
 
 
-def _digits_upto(n: int) -> int:
-    """The total number of decimal digits of 1, 2, ..., n."""
-    total, low = 0, 1
-    while low <= n:
-        total += n - low + 1  # every number from low on has one digit more
-        low *= 10
-    return total
-
-
 @dataclass(frozen=True)
 class MergeTrace:
     """Integer record of the standardized merge process.
@@ -84,12 +75,13 @@ class MergeTrace:
     was valid; that O(1) test stands in for the O(n) check, which runs only
     when the test fails, to raise the error it always raised.
 
-    The JSON lines render each distinct weight once (:meth:`input_strs`
-    hands the input weights' strings to a report) and replay a list of those
-    strings beside the integer one, so a line costs one join.  Three sizes
-    bound the lines before any is written, from cheapest to exact:
-    :meth:`json_size_ceiling` in O(1), :meth:`json_size_floor` from bit
-    lengths, and :meth:`json_size` from the rendered strings.
+    The JSON lines render each weight once (:meth:`input_strs` hands the
+    input weights' strings to a report) and replay a list of those strings
+    beside the integer one, so a line costs one join.  Three sizes bound the
+    lines before any is written, cheapest first, each one replay of the
+    state's widths (:meth:`_size`): :meth:`json_size_ceiling` with every
+    weight at the widest any can take, :meth:`json_size_floor` at widths
+    from bit lengths, and :meth:`json_size` at the rendered strings'.
     """
 
     nums: tuple[int, ...]
@@ -138,11 +130,8 @@ class MergeTrace:
     @cached_property
     def _strs(self) -> tuple[list[str], list[str]]:
         """The input weights and the merged weights as
-        :func:`~prefixcode.numutil.weight_strs` renders them, unquoted, with
-        each distinct weight rendered once."""
-        values = tuple(set(self.nums).union(self.sums))
-        rendered = dict(zip(values, weight_strs(values, self.den)))
-        return [rendered[v] for v in self.nums], [rendered[s] for s in self.sums]
+        :func:`~prefixcode.numutil.weight_strs` renders them, unquoted."""
+        return weight_strs(self.nums, self.den), weight_strs(self.sums, self.den)
 
     def input_strs(self) -> list[str]:
         """``weight_strs(nums, den)``, taken from the rendering the lines
@@ -174,25 +163,16 @@ class MergeTrace:
         return self._size([width(v) for v in self.nums], map(width, self.sums))
 
     def json_size_ceiling(self) -> int:
-        """An upper bound on :meth:`json_size` in O(1): no replay, and no
-        weight rendered.
+        """An upper bound on :meth:`json_size` with no weight rendered: one
+        replay with every weight at the widest any can take.
 
         A weight a/b is at most 1 and b divides ``den``, so it renders in at
         most 2d + 1 characters, d the digits of ``den``; den < 2**t, t its
-        bit length, gives d <= floor(t * log10(2)) + 1.  The state after
-        merge m holds c = n - m entries and its index k is at most c, so the
-        lines' c run over 1, ..., n-1 once each.
+        bit length, gives d <= floor(t * log10(2)) + 1.
         """
-        lines = len(self.ks)
         # 30103/10**5 > log10(2)
         width = 2 * (self.den.bit_length() * 30103 // 10**5 + 1) + 1
-        entries = lines * (lines + 1) // 2
-        sep = len(_STATE_SEP)
-        # per line: the fields outside the state, the merged weight, and
-        # the c entries with c - 1 separators; m and k each run over the
-        # digits of 1, ..., n-1
-        return (lines * (_RECORD_FIXED + width - sep) + 2 * _digits_upto(lines)
-                + entries * (width + sep))
+        return self._size([width] * len(self.nums), [width] * len(self.sums))
 
     def _size(self, widths: list[int], merged: Iterable[int]) -> int:
         """The trace's length with the input weights taking ``widths`` and

@@ -68,8 +68,6 @@ def enumerate_kraft_tight(n: int, max_len: int | None = None) -> Iterator[Length
                 continue
             if left > 2 * internal * capacity_next:
                 continue
-            if internal == 0 and left > 0:
-                continue
             counts.append(leaves_here)
             yield from expand(depth + 1, 2 * internal, left)
             counts.pop()

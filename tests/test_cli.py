@@ -20,6 +20,7 @@ from prefixcode.delta import delta_occasion
 from prefixcode.fileio import parse_source, read_distribution_file
 from prefixcode.huffman import huffman_lengths
 from prefixcode.numutil import weight_strs
+from randgen import near_uniform_distribution, random_distribution, tie_heavy_distribution
 from test_convergence import _reference_csv_text
 from test_huffman import reference_trace_lines
 
@@ -200,14 +201,28 @@ def test_traced_analyze_renders_each_input_weight_once(capsys, monkeypatch):
             return render(nums, den)
 
         monkeypatch.setattr(module, "weight_strs", recording)
-    report, _ = run_json(capsys, ["analyze", "geom:1/4", "--truncate", "64",
-                                  "--trace", os.devnull])
-    assert report["results"]["probs"] == weight_strs(dist.nums, dist.den)
-    # besides the delta state, which a report renders on its own, every
-    # input weight (all distinct here) is rendered exactly once
     delta_state = delta_occasion(dist).state
-    rendered.remove((delta_state.nums, delta_state.den))
-    assert sorted(v for nums, den in rendered for v in nums if v in dist.nums) == sorted(dist.nums)
+    for trace in (["--trace", os.devnull], []):
+        rendered.clear()
+        report, _ = run_json(capsys, ["analyze", "geom:1/4", "--truncate", "64", *trace])
+        results = report["results"]
+        assert results["probs"] == weight_strs(dist.nums, dist.den)
+        assert results["delta"]["state"] == weight_strs(delta_state.nums, delta_state.den)
+        # every input weight (all distinct here) is rendered exactly once,
+        # the delta state's unmerged leaves included
+        probs = set(dist.probs)
+        weights = [F(v, den) for nums, den in rendered for v in nums]
+        assert sorted(w for w in weights if w in probs) == sorted(probs)
+
+
+def test_analyze_delta_state_is_the_delta_commands(rng):
+    # analyze takes the delta state's leaves from its rendered probs; ties
+    # put merge sums equal to leaves into the state
+    for make in (random_distribution, tie_heavy_distribution, near_uniform_distribution):
+        for _ in range(40):
+            dist = make(rng, rng.randint(2, 60))
+            probs = weight_strs(dist.nums, dist.den)
+            assert cli._delta_payload(dist, probs) == cli._delta_payload(dist)
 
 
 class RawRecorder(io.RawIOBase):
@@ -662,8 +677,16 @@ class TestConverge:
         assert sweeps == [48]
         assert len(coded) == 47
 
-    def test_finite_source_rejected(self, capsys, dist_file):
-        assert run(["converge", "--spec", f"file:{dist_file}", "--depth", "1"]) == 2
+    def test_finite_source_rejected(self, capsys, dist_file, tmp_path):
+        # refused before the file is read: a missing, an empty or a
+        # malformed file gets the same message as a valid one
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        (tmp_path / "malformed.txt").write_text("1/2\nhalf\n", encoding="utf-8")
+        for path in (dist_file, tmp_path / "missing.txt", tmp_path / "empty.txt",
+                     tmp_path / "malformed.txt"):
+            assert run(["converge", "--spec", f"file:{path}", "--depth", "1"]) == 2
+            assert capsys.readouterr().err == (
+                "error: converge needs an infinite source literal (geom:/alpha:)\n")
 
     @pytest.mark.parametrize("argv, window", [
         (["--spec", "geom:1/4", "--depth", "1", "--nmax", "3", "--window", "2"], "2..3"),
