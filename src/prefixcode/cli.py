@@ -17,10 +17,9 @@ returns, without json's pure-Python encoder, which ``indent`` selects.
 ``--trace PATH`` refuses a trace file over MAX_TRACE_BYTES before the
 report is built, by the trace's ceiling, then its bit-length floor, then
 its exact size, each only when the one before cannot decide.  A traced
-report takes its ``probs`` from the trace's own rendering, and an analysis
-takes its delta state's unmerged leaves from ``probs``, so each input
-weight is rendered once.  An output path is used whenever it is given,
-even when empty; a path that cannot be written exits 2.
+report takes its ``probs`` from the trace's own rendering.  An output path
+is used whenever it is given, even when empty; a path that cannot be
+written exits 2.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from prefixcode.errors import OutOfRangeError, PrefixCodeError, TailNotComputabl
 from prefixcode.fileio import parse_rational, parse_source, read_distribution_file
 from prefixcode.huffman import (
     LengthVector,
-    MergeState,
     MergeTrace,
     canonical_codebook,
     expected_length,
@@ -86,11 +84,12 @@ PROVENANCE = {
 
 def _resolve_finite(source: str, truncate_n: int | None) -> tuple[FiniteDistribution, dict]:
     """Parse a source argument down to a finite distribution."""
+    if truncate_n is not None and source.strip().startswith("file:"):
+        # refused before the file is read
+        raise PrefixCodeError("--truncate only applies to infinite source literals")
     parsed = parse_source(source)
     inputs: dict = {"source": source}
     if isinstance(parsed, FiniteDistribution):
-        if truncate_n is not None:
-            raise PrefixCodeError("--truncate only applies to infinite source literals")
         return parsed, inputs
     if truncate_n is None:
         raise TailNotComputableError(
@@ -168,7 +167,7 @@ def _probs(dist: FiniteDistribution, trace: MergeTrace | None) -> list[str]:
     return weight_strs(dist.nums, dist.den) if trace is None else trace.input_strs()
 
 
-def _delta_payload(dist: FiniteDistribution, probs: list[str] | None = None) -> dict:
+def _delta_payload(dist: FiniteDistribution) -> dict:
     result = delta_occasion(dist)
     payload: dict = {"kind": result.kind.name}
     if result.kind is DeltaKind.TRIVIAL:
@@ -177,25 +176,9 @@ def _delta_payload(dist: FiniteDistribution, probs: list[str] | None = None) -> 
     else:
         state = result.state
         payload["delta"] = result.delta
-        payload["state"] = (weight_strs(state.nums, state.den) if probs is None
-                            else _state_strs(dist, state, probs))
+        payload["state"] = weight_strs(state.nums, state.den)
         payload["l1_floor_log2"] = result.l1
     return payload
-
-
-def _state_strs(dist: FiniteDistribution, state: MergeState, probs: list[str]) -> list[str]:
-    """The rendered merge ``state`` of ``dist``: its unmerged leaves, the
-    largest weights of ``dist`` in order, are taken from ``dist``'s rendered
-    ``probs``, and only its queued sums are rendered.  An entry equal to the
-    next leaf is taken as it, since a sum of that value renders the same."""
-    scale = dist.den // state.den  # the state is stored in lowest terms
-    leaf, is_leaf = 0, []
-    for v in state.nums:
-        is_leaf.append(leaf < dist.n and dist.nums[leaf] == v * scale)
-        leaf += is_leaf[-1]
-    leaves = iter(probs)
-    sums = iter(weight_strs([v for v, hit in zip(state.nums, is_leaf) if not hit], state.den))
-    return [next(leaves) if hit else next(sums) for hit in is_leaf]
 
 
 def _classification_payload(p1: Fraction) -> dict:
@@ -225,7 +208,7 @@ def _analysis_payload(dist: FiniteDistribution, lengths: LengthVector,
         "codewords": list(canonical_codebook(lengths)),
         "expected_length": rat_str(expected_length(dist, lengths)),
         "kraft_sum": rat_str(kraft_sum(lengths)),
-        "delta": _delta_payload(dist, probs),
+        "delta": _delta_payload(dist),
         "l1": {
             "from_tree": lengths[0],
             "classification": _classification_payload(dist.p1),

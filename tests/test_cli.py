@@ -192,37 +192,58 @@ def test_traced_report_is_the_untraced_one_plus_its_file(capsys, dist_file, tmp_
 
 def test_traced_analyze_renders_each_input_weight_once(capsys, monkeypatch):
     dist = truncate(Geometric(F(1, 4)), 64)
+    state = delta_occasion(dist).state
     rendered = []
     for module in (cli, importlib.import_module("prefixcode.huffman")):
         render = module.weight_strs
 
-        def recording(nums, den, render=render):
-            rendered.append((tuple(nums), den))
+        def recording(nums, den, render=render, name=module.__name__):
+            rendered.append((name, tuple(nums), den))
             return render(nums, den)
 
         monkeypatch.setattr(module, "weight_strs", recording)
-    delta_state = delta_occasion(dist).state
     for trace in (["--trace", os.devnull], []):
         rendered.clear()
         report, _ = run_json(capsys, ["analyze", "geom:1/4", "--truncate", "64", *trace])
         results = report["results"]
         assert results["probs"] == weight_strs(dist.nums, dist.den)
-        assert results["delta"]["state"] == weight_strs(delta_state.nums, delta_state.den)
-        # every input weight (all distinct here) is rendered exactly once,
-        # the delta state's unmerged leaves included
-        probs = set(dist.probs)
-        weights = [F(v, den) for nums, den in rendered for v in nums]
-        assert sorted(w for w in weights if w in probs) == sorted(probs)
+        assert results["delta"]["state"] == weight_strs(state.nums, state.den)
+        # the delta state is one call of its own, as the delta command makes it
+        delta_call = ("prefixcode.cli", state.nums, state.den)
+        assert rendered.count(delta_call) == 1
+        rendered.remove(delta_call)
+        # the other calls render every input weight (all distinct here)
+        # exactly once: through the trace's rendering, which also renders
+        # the merge sums, when traced, else through the report's own
+        if trace:
+            inputs, (module, sums, den) = rendered
+            assert inputs == ("prefixcode.huffman", dist.nums, dist.den)
+            assert module == "prefixcode.huffman"
+            assert not {F(v, den) for v in sums} & set(dist.probs)
+        else:
+            assert rendered == [("prefixcode.cli", dist.nums, dist.den)]
 
 
-def test_analyze_delta_state_is_the_delta_commands(rng):
-    # analyze takes the delta state's leaves from its rendered probs; ties
-    # put merge sums equal to leaves into the state
+def test_analyze_delta_is_the_delta_commands(capsys, tmp_path, rng):
+    # analyze prints the delta command's results as its "delta"; ties put
+    # merge sums equal to input weights into the delta state
+    trivial = tmp_path / "trivial.txt"  # p1 >= 1/2
+    trivial.write_text("1/2\n1/4\n1/8\n1/8\n", encoding="utf-8")
+    sources = [[f"file:{trivial}"], ["geom:1/4", "--truncate", "128"],
+               ["alpha:[3/7,2/5,9/20]", "--truncate", "60"]]
     for make in (random_distribution, tie_heavy_distribution, near_uniform_distribution):
-        for _ in range(40):
+        for i in range(20):
+            path = tmp_path / f"{make.__name__}-{i}.txt"
             dist = make(rng, rng.randint(2, 60))
-            probs = weight_strs(dist.nums, dist.den)
-            assert cli._delta_payload(dist, probs) == cli._delta_payload(dist)
+            path.write_text("".join(f"{p}\n" for p in dist.probs), encoding="utf-8")
+            sources.append([f"file:{path}"])
+    kinds = set()
+    for source in sources:
+        analysis, _ = run_json(capsys, ["analyze", *source])
+        delta, _ = run_json(capsys, ["delta", *source])
+        assert analysis["results"]["delta"] == delta["results"]
+        kinds.add(delta["results"]["kind"])
+    assert kinds == {"TRIVIAL", "ZERO", "FOUND"}
 
 
 class RawRecorder(io.RawIOBase):
@@ -579,6 +600,19 @@ class TestDelta:
         assert report["results"]["delta"] == 1
         assert report["results"]["state"] == ["2/5", "3/10", "3/10"]
         assert report["results"]["l1_floor_log2"] == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "delta"])
+def test_truncate_of_a_file_source_rejected(capsys, dist_file, tmp_path, command):
+    # refused before the file is read: a missing, an empty or a malformed
+    # file gets the same message as a valid one
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    (tmp_path / "malformed.txt").write_text("1/2\nhalf\n", encoding="utf-8")
+    for path in (dist_file, tmp_path / "missing.txt", tmp_path / "empty.txt",
+                 tmp_path / "malformed.txt"):
+        assert run([command, f"file:{path}", "--truncate", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --truncate only applies to infinite source literals\n")
 
 
 class TestAntiUniform:
