@@ -15,7 +15,7 @@ children sit one level deeper.  No merge tree is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -62,54 +62,52 @@ _RECORD_FIXED = len(_record("", "", "", "") + "\n")
 
 @dataclass(frozen=True)
 class MergeTrace:
-    """Integer record of the standardized merge process.
+    """The kernel's record of the standardized merge process over checked
+    weights.
 
-    ``nums`` are the input weights over the shared denominator ``den``, and
-    merge m placed the merged weight ``sums[m-1]`` at 1-based index
-    ``ks[m-1]`` of the reduced state.  States are not stored: each view
-    regenerates them by replaying the record on one integer list, and checks
-    them as it goes.  The input weights get the full
-    :func:`~prefixcode.distributions.check_weights`.  A merge then leaves a
-    valid state exactly when its merged weight is the sum of the two weights
-    it pops and sits between its new neighbours, because the state before it
-    was valid; that O(1) test stands in for the O(n) check, which runs only
-    when the test fails, to raise the error it always raised.
+    ``nums`` are the input weights over the shared denominator ``den``: the
+    only input, checked once with
+    :func:`~prefixcode.distributions.check_weights` (and at least two of
+    them).  One :func:`~prefixcode.kernel.run_merges` call then fills the
+    other fields, which no caller can set: merge m placed the merged weight
+    ``sums[m-1]`` at 1-based index ``ks[m-1]`` of the reduced state, and
+    ``lengths`` are the code lengths.  Every record is thus the kernel's,
+    so the JSON lines and their sizes replay it with no further check.
 
     The JSON lines render each weight once (:meth:`input_strs` hands the
-    input weights' strings to a report) and replay a list of those strings
-    beside the integer one, so a line costs one join.  Three sizes bound the
-    lines before any is written, cheapest first, each one replay of the
-    state's widths (:meth:`_size`): :meth:`json_size_ceiling` with every
-    weight at the widest any can take, :meth:`json_size_floor` at widths
-    from bit lengths, and :meth:`json_size` at the rendered strings'.
+    input weights' strings to a report) and replay a list of those strings,
+    so a line costs one join.  Three sizes bound the lines before any is
+    written, cheapest first, each one replay of the state's widths
+    (:meth:`_size`): :meth:`json_size_ceiling` with every weight at the
+    widest any can take, :meth:`json_size_floor` at widths from bit
+    lengths, and :meth:`json_size` at the rendered strings'.
     """
 
     nums: tuple[int, ...]
     den: int
-    ks: tuple[int, ...]
-    sums: tuple[int, ...]
+    ks: tuple[int, ...] = field(init=False)
+    sums: tuple[int, ...] = field(init=False)
+    lengths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not len(self.ks) == len(self.sums) == len(self.nums) - 1:
-            raise SizeMismatchError(
-                f"{len(self.nums)} weights need {len(self.nums) - 1} merges, "
-                f"got {len(self.ks)} indices and {len(self.sums)} sums"
-            )
+        nums = tuple(self.nums)
+        check_weights(nums, self.den)
+        if len(nums) < 2:
+            raise TooFewEntriesError("a merge trace needs at least two weights")
+        lengths, ks, sums = kernel.run_merges(nums)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "ks", tuple(ks))
+        object.__setattr__(self, "sums", tuple(sums))
+        object.__setattr__(self, "lengths", tuple(lengths))
 
     def _replay(self) -> Iterator[list[int]]:
-        """The checked weight list at m = 0, 1, ..., n-1; one list, updated
-        in place between yields."""
-        den = self.den
+        """The weight list at m = 0, 1, ..., n-1; one list, updated in place
+        between yields."""
         vals = list(self.nums)
-        check_weights(vals, den)
         yield vals
         for k, s in zip(self.ks, self.sums):
-            popped = vals.pop() + vals.pop()
-            if not 1 <= k <= len(vals) + 1:
-                raise NotSortedError(f"insertion index {k} outside [1, {len(vals) + 1}]")
+            del vals[-2:]
             vals.insert(k - 1, s)
-            if s != popped or (k > 1 and vals[k - 2] < s) or (k < len(vals) and s < vals[k]):
-                check_weights(vals, den)
             yield vals
 
     @property
@@ -193,15 +191,12 @@ class MergeTrace:
         """One JSON record per merge step, rationals rendered as strings,
         produced one line at a time (the lines total O(n**2) characters).
 
-        The rendered state is a list of strings updated as the integer state
-        is replayed: the last two entries go and the merged one is inserted
-        at k.  The integer replay checks each state before its line."""
-        states = self._replay()
-        next(states)  # m = 0 has no record; this checks the input weights
+        The rendered state is a list of strings replayed as the weights are:
+        the last two entries go and the merged one is inserted at k."""
         inputs, merged = self._strs
         texts = list(inputs)
         join = _STATE_SEP.join
-        for m, (k, text, _) in enumerate(zip(self.ks, merged, states), start=1):
+        for m, (k, text) in enumerate(zip(self.ks, merged), start=1):
             del texts[-2:]
             texts.insert(k - 1, text)
             yield _record(m, k, text, join(texts))
@@ -261,10 +256,8 @@ def huffman_lengths(dist: FiniteDistribution) -> LengthVector:
 
 def huffman(dist: FiniteDistribution) -> tuple[LengthVector, MergeTrace]:
     """Standardized Huffman code lengths plus the integer merge trace."""
-    nums, den = dist.common_numerators()
-    depths, ks, sums = kernel.run_merges(nums)
-    trace = MergeTrace(tuple(nums), den, tuple(ks), tuple(sums))
-    return LengthVector(tuple(depths)), trace
+    trace = MergeTrace(*dist.common_numerators())
+    return LengthVector(trace.lengths), trace
 
 
 def kraft_sum(lengths: LengthVector | Iterable[int]) -> Fraction:

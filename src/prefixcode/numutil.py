@@ -89,14 +89,9 @@ def floor_neg_log2(p: Fraction) -> int:
     p = Fraction(p)
     if not 0 < p <= 1:
         raise OutOfRangeError(f"floor_neg_log2 needs 0 < p <= 1, got {rat_str(p)}")
-    a, b = p.numerator, p.denominator
-    # t such that a * 2**t <= b < a * 2**(t+1)
-    t = (b // a).bit_length() - 1
-    while (a << (t + 1)) <= b:
-        t += 1
-    while (a << t) > b:
-        t -= 1
-    return t
+    # for p = a/b the largest t with a * 2**t <= b: 2**t <= b/a exactly
+    # when 2**t <= b // a, as 2**t is an integer
+    return (p.denominator // p.numerator).bit_length() - 1
 
 
 def _scaled(x: Fraction, places: int) -> tuple[int, int]:

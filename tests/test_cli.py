@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from prefixcode import Geometric, cli, classify_l1, counterexample, kernel, truncate
+from prefixcode import ExplicitHead, Geometric, cli, classify_l1, counterexample, kernel, truncate
 from prefixcode.cli import run
 from prefixcode.delta import delta_occasion
 from prefixcode.fileio import parse_source, read_distribution_file
@@ -489,6 +489,11 @@ def test_denominator_past_its_cap_exits_2_at_once(capsys, argv, bits):
     ("alpha:[3/7, ,9/20]", "cannot parse rational ' '"),
     ("alpha:[]", "alpha literal needs at least one ratio"),
     ("alpha:[ ]", "alpha literal needs at least one ratio"),
+    ("alpha:2/5", "alpha literal must look like alpha:[a/b,...]"),
+    ("alpha:[2/5", "alpha literal must look like alpha:[a/b,...]"),
+    ("geo:1/4", "unrecognized source"),
+    # what ExplicitHead.literal() prints: no command reads it back
+    (ExplicitHead((F(1, 2),), F(1, 2)).literal(), "unrecognized source"),
 ])
 def test_blank_alpha_entry_is_input_error(capsys, literal, message):
     for argv in (["anti-uniform", literal], ["converge", "--spec", literal, "--depth", "1"]):

@@ -17,17 +17,16 @@ from prefixcode import (
     expected_length,
     huffman,
     huffman_lengths,
+    kernel,
     kraft_sum,
     truncate,
     validate,
 )
-from prefixcode.distributions import check_weights
 from prefixcode.errors import (
     KraftViolationError,
     NonPositiveEntryError,
     NotNormalizedError,
     NotSortedError,
-    PrefixCodeError,
     SizeMismatchError,
     TooFewEntriesError,
 )
@@ -244,34 +243,6 @@ def trace_instances(rng):
         yield truncate(Geometric(F(1, 4)), n)
 
 
-def reference_checked_lines(trace):
-    """The trace writer with the full :func:`check_weights` on every replayed
-    state, for any record, corrupted ones included."""
-    den = trace.den
-    vals = list(trace.nums)
-    check_weights(vals, den)
-    for m, (k, s) in enumerate(zip(trace.ks, trace.sums), start=1):
-        del vals[-2:]
-        if not 1 <= k <= len(vals) + 1:
-            raise NotSortedError(f"insertion index {k} outside [1, {len(vals) + 1}]")
-        vals.insert(k - 1, s)
-        check_weights(vals, den)
-        yield json.dumps({"m": m, "k": k, "merged": str(F(s, den)),
-                          "state": [str(F(v, den)) for v in vals]})
-
-
-def written_until_error(lines):
-    """The lines a writer yields, and the type and message of the error
-    that stops it (None when it finishes)."""
-    written = []
-    try:
-        for line in lines:
-            written.append(line)
-    except PrefixCodeError as exc:
-        return written, type(exc), str(exc)
-    return written, None, None
-
-
 class TestTraceRecord:
     def test_json_lines_match_the_reference(self, rng):
         for d in trace_instances(rng):
@@ -320,58 +291,53 @@ class TestTraceRecord:
         assert (trace.nums, trace.den, trace.ks, trace.sums) == (
             (4, 3, 2, 1), 10, (2, 1, 1), (3, 6, 10))
 
-    @pytest.mark.parametrize("field, value, error", [
-        ("ks", (1, 1, 1), NotSortedError),        # 3 lands before a larger 4
-        ("ks", (0, 1, 1), NotSortedError),        # index outside the state
-        ("ks", (5, 1, 1), NotSortedError),
-        ("sums", (4, 6, 10), NotNormalizedError),  # 4 is not 2 + 1
-        ("sums", (3, 7, 10), NotNormalizedError),  # 7 is not 3 + 3
-        ("ks", (2, 2, 1), NotSortedError),        # 6 lands after a smaller 4
-        ("ks", (2, 3, 1), NotSortedError),        # index outside the second state
-        ("sums", (3, 6, 11), NotNormalizedError),
-        ("sums", (0, 6, 10), NonPositiveEntryError),
-        ("sums", (-3, 6, 10), NonPositiveEntryError),
-    ])
-    def test_corrupted_record_is_rejected(self, field, value, error):
-        # the writer stops after the same lines, with the same error and
-        # message, as the full check of every state
-        d = validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
-        _, trace = huffman(d)
-        bad = dataclasses.replace(trace, **{field: value})
-        got = written_until_error(bad.iter_json_lines())
-        assert got == written_until_error(reference_checked_lines(bad))
-        assert got[1] is error
-        with pytest.raises(error):
-            bad.states
-
-    def test_corrupted_records_fail_as_the_per_state_check_does(self, rng):
-        # one merge's index or merged weight changed at random: the O(1)
-        # test per merge must write the same lines and raise the same error,
-        # with the same message, as the full check of every state
-        for d in trace_instances(rng):
-            _, trace = huffman(d)
-            for _ in range(6):
-                m = rng.randrange(d.n - 1)
-                if rng.random() < 0.5:
-                    ks = list(trace.ks)
-                    ks[m] = rng.randint(0, d.n - m)
-                    bad = dataclasses.replace(trace, ks=tuple(ks))
-                else:
-                    sums = list(trace.sums)
-                    sums[m] = rng.choice((0, -sums[m], sums[m] + rng.choice((-1, 1)),
-                                          rng.choice(trace.nums), rng.choice(trace.sums)))
-                    bad = dataclasses.replace(trace, sums=tuple(sums))
-                got = written_until_error(bad.iter_json_lines())
-                assert got == written_until_error(reference_checked_lines(bad))
-
     def test_corrupted_input_weights_are_rejected(self):
         with pytest.raises(NotSortedError):
-            MergeTrace((1, 2), 3, (1,), (3,)).json_lines()
+            MergeTrace((1, 2), 3)
         with pytest.raises(NonPositiveEntryError):
-            MergeTrace((3, 0), 3, (1,), (3,)).json_lines()
+            MergeTrace((3, 0), 3)
         with pytest.raises(NotNormalizedError):
-            MergeTrace((2, 1), 4, (1,), (3,)).json_lines()
+            MergeTrace((2, 1), 4)
+        with pytest.raises(TooFewEntriesError):
+            MergeTrace((), 1)
+        with pytest.raises(TooFewEntriesError):
+            MergeTrace((1,), 1)
 
-    def test_record_lengths_must_agree(self):
-        with pytest.raises(SizeMismatchError):
-            MergeTrace((2, 1), 3, (1, 1), (3,))
+    def test_record_is_the_kernels(self, rng):
+        for d in trace_instances(rng):
+            trace = MergeTrace(d.nums, d.den)
+            assert trace == huffman(d)[1]
+            lengths, ks, sums = kernel.run_merges(list(d.nums))
+            assert (trace.ks, trace.sums, trace.lengths) == (
+                tuple(ks), tuple(sums), tuple(lengths))
+
+    @pytest.mark.parametrize("field", ["ks", "sums", "lengths"])
+    def test_record_fields_cannot_be_replaced(self, field):
+        _, trace = huffman(validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)]))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(trace, **{field: getattr(trace, field)})
+
+    def test_only_the_weights_are_set(self):
+        _, trace = huffman(validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)]))
+        with pytest.raises(TypeError):
+            MergeTrace(trace.nums, trace.den, trace.ks, trace.sums)
+        # replacing the weights codes them again
+        other = dataclasses.replace(trace, nums=(1, 1, 1, 1), den=4)
+        assert (other.ks, other.sums, other.lengths) == ((1, 1, 1), (2, 2, 4), (2, 2, 2, 2))
+        with pytest.raises(NotSortedError):
+            dataclasses.replace(trace, nums=(1, 2, 3, 4))
+
+    def test_huffman_runs_the_kernel_once(self, rng, monkeypatch):
+        calls = []
+        run_merges = kernel.run_merges
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_merges(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "run_merges", counted)
+        for d in trace_instances(rng):
+            calls.clear()
+            lengths, trace = huffman(d)
+            assert len(calls) == 1 and list(calls[0][0]) == list(d.nums)
+            assert tuple(lengths) == trace.lengths

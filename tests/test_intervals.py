@@ -34,6 +34,26 @@ class TestIntervals:
         with pytest.raises(OutOfRangeError):
             interval_for(0)
 
+    def test_contains_is_the_classification(self, rng):
+        for k in range(1, 13):
+            interval = L1Interval(k)
+            lower, upper = interval.lower, interval.upper
+            # points from below the interval to past it, its open endpoints,
+            # and points a hair either side of them
+            points = [lower + (upper - lower) * F(rng.randint(-2**20, 2**21), 2**20)
+                      for _ in range(60)]
+            points += [lower, upper]
+            points += [end + F(sign, rng.randint(2**60, 2**80))
+                       for end in (lower, upper) for sign in (-1, 1)]
+            seen = set()
+            for p in points:
+                if 0 < p < 1:
+                    inside = interval.contains(p)
+                    assert inside == (classify_l1(p).k == k)
+                    seen.add(inside)
+            assert seen == {False, True}
+            assert not interval.contains(lower) and not interval.contains(upper)
+
 
 class TestClassify:
     def test_inside_first_interval(self):

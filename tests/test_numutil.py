@@ -5,9 +5,12 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+import pytest
+
 from prefixcode import Geometric, truncate
 from prefixcode.cli import run
-from prefixcode.numutil import exact_fraction, rat_str, weight_strs
+from prefixcode.errors import OutOfRangeError
+from prefixcode.numutil import exact_fraction, floor_neg_log2, rat_str, weight_strs
 from test_huffman import reference_trace_lines
 
 
@@ -98,3 +101,27 @@ def test_fraction_input_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert [rat_str(v) for v in (3, "0.4", 0.5, F(6, 4))] == ["3", "2/5", "1/2", "3/2"]
     assert exact_fraction(0.4) == F(2, 5)
+
+
+def reference_floor_neg_log2(a, b):
+    """The largest t with a * 2**t <= b, by counting up from 0."""
+    t = 0
+    while a << (t + 1) <= b:
+        t += 1
+    return t
+
+
+def test_floor_neg_log2_matches_the_count(rng):
+    for b in range(1, 301):
+        for a in range(1, b + 1):
+            assert floor_neg_log2(F(a, b)) == reference_floor_neg_log2(a, b)
+    for t in range(400):
+        assert floor_neg_log2(F(1, 2**t)) == t
+        assert floor_neg_log2(F(3, 2**(t + 2))) == t
+    for _ in range(300):
+        b = rng.getrandbits(200) | 1 << 199
+        a = rng.randint(1, b >> rng.randrange(200))
+        assert floor_neg_log2(F(a, b)) == reference_floor_neg_log2(a, b)
+    for p in (F(0), F(-1, 2), F(3, 2)):
+        with pytest.raises(OutOfRangeError, match="0 < p <= 1"):
+            floor_neg_log2(p)
