@@ -29,7 +29,6 @@ from prefixcode.sources import (
     AlphaSequence,
     AlphaVector,
     SourceSpec,
-    check_denominator_bits,
     check_head_sum,
     coerce_alphas,
     truncate,
@@ -81,7 +80,6 @@ def check_infinite_tail(spec: SourceSpec, depth: int) -> AntiUniformVerdict:
         raise OutOfRangeError(f"depth must be >= 1, got {depth}")
     if depth > MAX_DEPTH:
         raise OutOfRangeError(f"depth {depth} exceeds the limit {MAX_DEPTH}")
-    check_denominator_bits(spec, depth + 1)
     nums, den = spec.prefix_numerators(depth + 1)
     head = nums[0]
     for i in range(1, depth + 1):

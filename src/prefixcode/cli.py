@@ -73,7 +73,9 @@ TRACE_BLOCK_BYTES = 1 << 18
 # cap alone admits a 2**-255 ratio at n = 1024, whose `delta --truncate`
 # rendered for 285 s (7.0e13).  2**41, about 2.2e12, admits every
 # truncation the tests, the benchmark and the README render; the largest,
-# alpha:[3/7,2/5,9/20] at n = 4096, needs 1.7e12.
+# alpha:[3/7,2/5,9/20] at n = 4096, needs 1.7e12.  `analyze` renders the
+# delta state's weights as well as `probs`, so at the cap it takes about
+# twice as long as `delta` on the same truncation.
 MAX_RENDER_WORK = 1 << 41
 
 PROVENANCE = {

@@ -14,23 +14,19 @@ canonical codeword assignment) and labels each entry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from prefixcode import kernel
 from prefixcode.antiuniform import alpha_criterion
 from prefixcode.distributions import check_weights
-from prefixcode.errors import OutOfRangeError, SymbolOutOfRangeError
+from prefixcode.errors import NotNormalizedError, OutOfRangeError, SymbolOutOfRangeError
 # huffman_lengths stays importable from this module: perfbench's tracer
 # tests rebind it under this name
 from prefixcode.huffman import LengthVector, huffman_lengths  # noqa: F401
 from prefixcode.intervals import classify_l1, classify_l1_infinite
 from prefixcode.numutil import rat_str
-from prefixcode.sources import (
-    MAX_TRUNCATION,
-    SourceSpec,
-    check_denominator_bits,
-    check_head_sum,
-)
+from prefixcode.sources import MAX_TRUNCATION, SourceSpec, check_denominator_bits
 
 DEFAULT_WINDOW = 32
 DEFAULT_NMAX = 512
@@ -88,9 +84,8 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> list[list[in
       over j <= n, which the alpha cover gives as one integer fraction, a
       small factor per n; once S_(n-1) is checked, 1 - S_n is checked
       against (1 - S_(n-1))*(1 - alpha_n), so each n multiplies only by
-      the small factor.  The spec's one product formula for S_n, over its
-      own ratios (:func:`check_head_sum`), is consulted at n_max and on any
-      mismatch;
+      the small factor.  A mismatch raises :class:`NotNormalizedError`
+      with the prefix sum over the cover's S_n;
     * the tail ratio p_(n+1)*d = p_n*c for every n >= L, below n_min too,
       with L the length of the alpha cover and c/d = 1 - alpha_L.
       :func:`kernel.tail_depths` shares the merges below p_L across
@@ -120,13 +115,8 @@ def _sweep(spec: SourceSpec, n_min: int, n_max: int, depth: int) -> list[list[in
         scale *= f_scale
         total += nums[n - 1]
         if n >= n_min:
-            exact = (den - total) * scale == rest
-            if not exact or n == n_max:
-                check_head_sum(spec, n, total, den)
-                if not exact:
-                    raise RuntimeError(
-                        f"{spec.literal()}: the alpha cover disagrees with S_{n}"
-                    )
+            if (den - total) * scale != rest:
+                raise NotNormalizedError(Fraction(total * scale, den * scale - rest))
             rest, scale = den - total, 1
         if n > tail and nums[n - 1] * d != nums[n - 2] * c:
             raise RuntimeError(

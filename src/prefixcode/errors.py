@@ -36,7 +36,8 @@ class TooFewEntriesError(PrefixCodeError):
 
 
 class TailNotComputableError(PrefixCodeError):
-    """The source cannot produce an exact closed-form partial sum."""
+    """An infinite source literal was given where a finite distribution is
+    needed, without a truncation size (`--truncate`)."""
 
 
 class AlphaOutOfRangeError(PrefixCodeError):

@@ -89,13 +89,10 @@ def count_kraft_tight(n: int, max_len: int | None = None) -> int:
 
 def optimal_lengths(dist: FiniteDistribution) -> OptimalSet:
     """Exact minimum of sum(p_i * l_i) and all minimizing vectors."""
-    n = dist.n
-    if n > _MAX_N:
-        raise UniverseTooLargeError(f"n = {n} exceeds the certifiable limit {_MAX_N}")
     nums, den = dist.common_numerators()
     best: int | None = None
     argmins: list[LengthVector] = []
-    for vec in enumerate_kraft_tight(n):
+    for vec in enumerate_kraft_tight(dist.n):
         cost = sum(w * l for w, l in zip(nums, vec))
         if best is None or cost < best:
             best = cost

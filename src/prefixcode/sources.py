@@ -148,8 +148,11 @@ class SourceSpec:
     def prefix_numerators(self, n: int) -> tuple[list[int], int]:
         """Integers [v_1, ..., v_n] and den with p_i = v_i / den exactly,
         for n >= 1; den is the product of the alpha denominators up to n
-        and need not be in lowest terms."""
+        and need not be in lowest terms.  Raises :class:`OutOfRangeError`
+        before any term is built if den could pass MAX_DENOMINATOR_BITS
+        bits (:func:`check_denominator_bits`)."""
         self._check_index(n)
+        check_denominator_bits(self, n)
         alphas, listed = self.alphas, len(self.alphas)
         d = alphas[-1].denominator
         c = d - alphas[-1].numerator
@@ -269,18 +272,13 @@ class ExplicitHead(SourceSpec):
             raise TooFewEntriesError("head must be non-empty")
         if not 0 < ratio < 1:
             raise OutOfRangeError(f"ratio must be in (0, 1), got {rat_str(ratio)}")
-        for p in head:
-            if p <= 0:
-                raise OutOfRangeError(f"head entry {rat_str(p)} is not strictly positive")
+        # refuses a non-positive entry and a head mass of 1 or more
+        object.__setattr__(self, "alphas", (*to_alphas(head), ratio))
         for a, b in zip(head, head[1:]):
             if a < b:
                 raise NotSortedError(f"head entries {rat_str(a)} < {rat_str(b)} are not sorted")
-        mass = sum(head)
-        if mass >= 1:
-            raise PrefixMassReachesOneError(f"head mass {rat_str(mass)} leaves no tail")
-        if (1 - mass) * ratio > head[-1]:
+        if (1 - sum(head)) * ratio > head[-1]:
             raise NotSortedError("first tail entry exceeds the last head entry")
-        object.__setattr__(self, "alphas", (*to_alphas(head), ratio))
 
     prefix_probs = SourceSpec.prefix_probs
 
@@ -328,7 +326,6 @@ def truncate(spec: SourceSpec, n: int) -> FiniteDistribution:
         raise OutOfRangeError(f"truncation needs n >= 2, got {n}")
     if n > MAX_TRUNCATION:
         raise OutOfRangeError(f"truncation size {n} exceeds the limit {MAX_TRUNCATION}")
-    check_denominator_bits(spec, n)
     nums, den = spec.prefix_numerators(n)
     total = sum(nums)
     dist = FiniteDistribution(nums, total)

@@ -90,6 +90,11 @@ class _WrongCover(Geometric):
         return AlphaVector((F(1, 3),))
 
 
+def _cover_head_sum(spec, n):
+    """S_n of the spec's alpha cover, the sum the sweep checks."""
+    return AlphaSequence(spec.alphas_cover().alphas).head_sum(n)
+
+
 SWEEP_SPECS = [
     Geometric(F(1, 4)),
     AlphaSequence((F(3, 7), F(2, 5), F(9, 20))),
@@ -127,14 +132,12 @@ class TestTruncationSequence:
             assert report.length_prefixes == tuple(tuple(vec)[:depth] for vec in expected)
 
     def test_head_sum_mismatch_is_not_normalized(self):
+        # truncate checks its prefix against head_sum; the sweep checks it
+        # against the alpha cover and reads no head_sum
         spec = _WrongHeadSum(F(1, 4))
         assert len(truncation_sequence(spec, 2, 5)) == 4
         with pytest.raises(NotNormalizedError):
             truncate(spec, 6)
-        with pytest.raises(NotNormalizedError):
-            truncation_sequence(spec, 2, 6)
-        with pytest.raises(NotNormalizedError):
-            estimate_optimal_lengths(spec, 1, n_max=40, window=8)
 
     @pytest.mark.parametrize("k, n_min", [(5, 5), (20, 2), (40, 2)],
                              ids=["at-n_min", "middle", "at-n_max"])
@@ -152,19 +155,13 @@ class TestTruncationSequence:
         if k > n_min:
             assert len(truncation_sequence(spec, n_min, k - 1)) == k - n_min
 
-    def test_head_sum_is_checked_at_n_max(self):
-        # the prefix agrees with the alpha cover at every n; only the
-        # family's closed form, consulted at n_max, disagrees
-        spec = _WrongHeadSum(F(1, 4))
-        for n_max in (6, 7, 40):
-            with pytest.raises(NotNormalizedError) as got:
-                truncation_sequence(spec, 2, n_max)
-            total = sum(spec.prefix_probs(n_max))
-            assert str(got.value) == str(NotNormalizedError(total))
-
     def test_alpha_cover_disagreeing_with_head_sum_is_a_bug(self):
-        with pytest.raises(RuntimeError, match="alpha cover disagrees with S_2"):
-            truncation_sequence(_WrongCover(F(1, 4)), 2, 8)
+        # the prefix of geom:1/4 misses the cover's S_2 (that of geom:1/3)
+        spec = _WrongCover(F(1, 4))
+        want = str(NotNormalizedError(sum(spec.prefix_probs(2)) / _cover_head_sum(spec, 2)))
+        with pytest.raises(NotNormalizedError) as got:
+            truncation_sequence(spec, 2, 8)
+        assert str(got.value) == want
 
     def test_prefix_breaking_its_tail_ratio_is_a_bug(self):
         # S_n holds for every n >= 4, so from n_min = 4 on only the tail
@@ -301,6 +298,8 @@ class TestEstimate:
     def test_depth_budget_validation(self):
         with pytest.raises(OutOfRangeError):
             estimate_optimal_lengths(Geometric(F(1, 2)), 100, n_max=64, window=32)
+        with pytest.raises(OutOfRangeError, match="depth must be >= 1, got 0"):
+            estimate_optimal_lengths(Geometric(F(1, 2)), 0, n_max=64, window=32)
 
     def test_report_dict_shape(self):
         report = estimate_optimal_lengths(Geometric(F(1, 4)), 2, n_max=64, window=8)
@@ -526,13 +525,13 @@ def test_sweep_of_head_only_truncations_equals_per_n_kernel():
 
 
 @pytest.mark.parametrize("spec, n_bad", [(_WrongProb(F(1, 4), 20), 20),
-                                         (_WrongHeadSum(F(1, 4)), 40)],
-                         ids=["wrong-p20", "wrong-head-sum"])
+                                         (_WrongCover(F(1, 4)), 2)],
+                         ids=["wrong-p20", "wrong-cover"])
 def test_faulty_prefix_is_refused_before_any_truncation_is_coded(
     spec, n_bad, monkeypatch
 ):
-    # _WrongProb misses S_20; _WrongHeadSum is caught only at n_max = 40
-    want = str(NotNormalizedError(sum(spec.prefix_probs(n_bad)) / spec.head_sum(n_bad)))
+    # _WrongProb misses S_20; _WrongCover's prefix misses its cover's S_2
+    want = str(NotNormalizedError(sum(spec.prefix_probs(n_bad)) / _cover_head_sum(spec, n_bad)))
     coded = []
     tail_depths = kernel.tail_depths
 

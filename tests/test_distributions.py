@@ -35,6 +35,7 @@ def test_valid_dyadic():
     d = validate([F(1, 2), F(1, 4), F(1, 4)])
     assert d.probs == (F(1, 2), F(1, 4), F(1, 4))
     assert d.n == 3 and d.p1 == F(1, 2)
+    assert list(d) == [F(1, 2), F(1, 4), F(1, 4)]
 
 
 def test_not_sorted():

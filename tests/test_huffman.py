@@ -205,6 +205,8 @@ class TestLengthVector:
     def test_must_be_positive(self):
         with pytest.raises(Exception):
             LengthVector((0, 1))
+        with pytest.raises(TooFewEntriesError):
+            LengthVector(())
 
     def test_huffman_output_is_non_decreasing(self, rng):
         for _ in range(20):

@@ -10,7 +10,16 @@ import pytest
 from prefixcode import Geometric, truncate
 from prefixcode.cli import run
 from prefixcode.errors import OutOfRangeError
-from prefixcode.numutil import exact_fraction, floor_neg_log2, rat_str, weight_strs
+from prefixcode.numutil import (
+    decimal_ceil,
+    decimal_floor,
+    decimal_str,
+    exact_fraction,
+    floor_log2,
+    floor_neg_log2,
+    rat_str,
+    weight_strs,
+)
 from test_huffman import reference_trace_lines
 
 
@@ -101,6 +110,7 @@ def test_fraction_input_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert [rat_str(v) for v in (3, "0.4", 0.5, F(6, 4))] == ["3", "2/5", "1/2", "3/2"]
     assert exact_fraction(0.4) == F(2, 5)
+    assert exact_fraction(3) == F(3) and exact_fraction("-2/6") == F(-1, 3)
 
 
 def reference_floor_neg_log2(a, b):
@@ -125,3 +135,21 @@ def test_floor_neg_log2_matches_the_count(rng):
     for p in (F(0), F(-1, 2), F(3, 2)):
         with pytest.raises(OutOfRangeError, match="0 < p <= 1"):
             floor_neg_log2(p)
+
+
+def test_floor_log2():
+    assert [floor_log2(n) for n in (1, 2, 3, 4, 7, 8, 2**100)] == [0, 1, 1, 2, 2, 3, 100]
+    for n in (0, -1):
+        with pytest.raises(OutOfRangeError, match="n >= 1"):
+            floor_log2(n)
+
+
+def test_decimal_renderings():
+    x = F(5, 8)  # 0.625
+    assert (decimal_floor(x, 2), decimal_ceil(x, 2), decimal_str(x, 2)) == ("0.62", "0.63", "0.63")
+    assert (decimal_floor(x, 0), decimal_ceil(x, 0), decimal_str(x, 0)) == ("0", "1", "1")
+    assert decimal_str(F(3, 2), 0) == "2" and decimal_str(F(1, 3), 0) == "0"
+    assert decimal_floor(F(1, 3), 3) == "0.333" and decimal_ceil(F(0), 3) == "0.000"
+    for render in (decimal_floor, decimal_ceil, decimal_str):
+        with pytest.raises(OutOfRangeError, match="non-negative"):
+            render(F(-1, 3), 2)

@@ -27,6 +27,12 @@ def test_two_traced_passes_run_clean(capsys, tmp_path):
         ["anti-uniform", f"file:{dist}"],
         ["oracle", str(dist)],
         ["classify-l1", "1/4"],
+        # the sweep's S_n check, the denominator cap where the prefix is
+        # built, and the infinite-tail test
+        ["converge", "--spec", "alpha:[3/7,2/5,9/20]", "--depth", "4", "--nmax", "64",
+         "--window", "8"],
+        ["delta", "geom:1/4", "--truncate", "16"],
+        ["anti-uniform", "alpha:[2/5]", "--depth", "8"],
     ]
     # run.py's untraced loop runs first, and builds the parser once for
     # the process

@@ -103,10 +103,14 @@ class TestAlphaOps:
                 AlphaVector((F(1, 2), bad))
         with pytest.raises(TooFewEntriesError):
             AlphaVector(())
+        with pytest.raises(OutOfRangeError, match="not strictly positive"):
+            to_alphas([F(1, 2), F(0)])
 
     def test_from_alphas_needs_enough_entries(self):
         with pytest.raises(TooFewEntriesError):
             from_alphas([F(1, 2)], 2)
+        with pytest.raises(OutOfRangeError, match="n must be positive"):
+            from_alphas([F(1, 2)], 0)
 
 
 class TestAlphaSequence:
@@ -177,6 +181,19 @@ class TestExplicitHead:
     def test_truncation_validates(self):
         d = truncate(ExplicitHead((F(1, 3),), F(1, 2)), 5)
         assert sum(d.probs) == 1
+
+    @pytest.mark.parametrize("head, ratio, error", [
+        ((), F(1, 2), TooFewEntriesError),
+        ((F(1, 3),), F(3, 2), OutOfRangeError),
+        # a last head entry of 0 is refused as such, not as a tail jump
+        ((F(1, 3), F(0)), F(1, 2), OutOfRangeError),
+        ((F(1, 4), F(1, 3)), F(1, 2), NotSortedError),
+        ((F(1, 2), F(1, 2)), F(1, 2), PrefixMassReachesOneError),
+        ((F(1, 3),), F(3, 4), NotSortedError),
+    ], ids=["empty", "ratio", "zero-entry", "unsorted", "saturated", "tail-jump"])
+    def test_each_violation_has_its_type(self, head, ratio, error):
+        with pytest.raises(error):
+            ExplicitHead(head, ratio)
 
 
 def test_truncate_needs_two_symbols():
@@ -300,6 +317,18 @@ def test_prefix_den_is_the_alpha_denominator_product(rng):
             _, den = spec.prefix_numerators(n)
             want = prod(cover[min(i, len(cover)) - 1].denominator for i in range(1, n + 1))
             assert den == want, (spec.literal(), n)
+
+
+def test_prefix_past_the_denominator_cap_is_refused_before_it_is_built(monkeypatch):
+    # 1000 terms of a 2**-300 ratio need a 301000-bit denominator
+    def unreachable(*args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(sources, "prod", unreachable)
+    spec = Geometric(F(1, 2**300))
+    for build in (spec.prefix_numerators, spec.prefix_probs):
+        with pytest.raises(OutOfRangeError, match="up to 301000 bits"):
+            build(1000)
 
 
 def test_prefix_numerators_need_a_symbol():
