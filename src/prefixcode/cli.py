@@ -43,7 +43,7 @@ from prefixcode.convergence import DEFAULT_NMAX, DEFAULT_WINDOW, estimate_optima
 from prefixcode.delta import DeltaKind, delta_occasion
 from prefixcode.distributions import FiniteDistribution, counterexample
 from prefixcode.errors import OutOfRangeError, PrefixCodeError, TailNotComputableError
-from prefixcode.fileio import parse_rational, parse_source, read_distribution_file
+from prefixcode.fileio import parse_source, read_distribution_file
 from prefixcode.huffman import (
     LengthVector,
     MergeTrace,
@@ -54,7 +54,8 @@ from prefixcode.huffman import (
     kraft_sum,
 )
 from prefixcode.intervals import L1Interval, classify_l1, coverage_sum
-from prefixcode.numutil import decimal_ceil, decimal_floor, decimal_str, rat_str, weight_strs
+from prefixcode.numutil import (
+    decimal_ceil, decimal_floor, decimal_str, exact_fraction, rat_str, weight_strs)
 from prefixcode.oracle import count_kraft_tight, optimal_lengths
 from prefixcode.sources import MAX_TRUNCATION, SourceSpec, check_denominator_bits, truncate
 
@@ -234,7 +235,7 @@ def _cmd_analyze(args) -> tuple[dict, dict]:
 
 
 def _cmd_classify_l1(args) -> tuple[dict, dict]:
-    p1 = parse_rational(args.p1)
+    p1 = exact_fraction(args.p1)
     return {"p1": rat_str(p1)}, _classification_payload(p1)
 
 
@@ -334,7 +335,7 @@ def _cmd_coverage_sum(args) -> tuple[dict, dict]:
 
 
 def _cmd_counterexample(args) -> tuple[dict, dict]:
-    epsilon = parse_rational(args.epsilon)
+    epsilon = exact_fraction(args.epsilon)
     dist = counterexample(args.family, epsilon)
     inputs = {"family": args.family, "epsilon": rat_str(epsilon)}
     traced = args.trace is not None

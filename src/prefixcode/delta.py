@@ -19,7 +19,7 @@ from prefixcode import kernel
 from prefixcode.distributions import FiniteDistribution
 from prefixcode.errors import OutOfRangeError, TrivialCaseError
 from prefixcode.huffman import MergeState
-from prefixcode.numutil import floor_log2, floor_neg_log2, rat_str
+from prefixcode.numutil import exact_fraction, floor_log2, floor_neg_log2, rat_str
 
 class DeltaKind(enum.Enum):
     TRIVIAL = "trivial"  # p1 >= 1/2: l1 = 1, no delta occasion exists
@@ -63,7 +63,7 @@ def l1_via_delta(dist: FiniteDistribution) -> int:
 
 def l1_lower_bound(p: Fraction) -> int:
     """floor(-log2 p): a lower bound on l1 whenever p1 < p."""
-    p = Fraction(p)
+    p = exact_fraction(p)
     if not 0 < p < 1:
         raise OutOfRangeError(f"p must be in (0, 1), got {rat_str(p)}")
     return floor_neg_log2(p)
@@ -81,16 +81,16 @@ def delta_bounds(
     delta > n - 2/a + 1 when p1 > a.  A side is None when its threshold is
     missing or its premise fails.
     """
-    p1 = Fraction(p1)
+    p1 = exact_fraction(p1)
     upper = lower = None
     if b is not None:
-        b = Fraction(b)
+        b = exact_fraction(b)
         if not 0 < b < 1:
             raise OutOfRangeError(f"b must be in (0, 1), got {rat_str(b)}")
         if p1 < b:
             upper = n - 1 / b
     if a is not None:
-        a = Fraction(a)
+        a = exact_fraction(a)
         if not 0 < a < 1:
             raise OutOfRangeError(f"a must be in (0, 1), got {rat_str(a)}")
         if p1 > a:

@@ -9,6 +9,10 @@ class PrefixCodeError(Exception):
     """Base class for all domain errors raised by prefixcode."""
 
 
+class ParseError(PrefixCodeError):
+    """Malformed rational (library argument or CLI string), file, or source literal."""
+
+
 class NotSortedError(PrefixCodeError):
     """Probabilities are not in non-increasing order."""
 

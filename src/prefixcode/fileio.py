@@ -5,9 +5,9 @@ per line, either "a/b" or a decimal literal (parsed exactly, so 0.4 means
 2/5); lines starting with '#' and blank lines are ignored.  A file made only of
 "a/D" lines over one shared denominator D (every "w/W" export has that
 shape, with or without a final newline) is read whole into integers; any
-other file is read line by line through :func:`parse_rational`, with the
-same values and the same ``path:lineno:`` messages.  A literal's decimal
-exponent is at most ``MAX_EXPONENT`` in size.
+other file is read line by line through
+:func:`prefixcode.numutil.exact_fraction`, the package's one reader of
+rationals, with the same values and the same ``path:lineno:`` messages.
 
 Source literals: "geom:a/b", "alpha:[a/b,c/d,...]" (a finite list; the last
 ratio repeats forever), or "file:PATH" for a finite distribution.
@@ -15,48 +15,12 @@ ratio repeats forever), or "file:PATH" for a finite distribution.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from pathlib import Path
 
 from prefixcode.distributions import FiniteDistribution, validate
-from prefixcode.errors import PrefixCodeError
+from prefixcode.errors import ParseError
+from prefixcode.numutil import exact_fraction
 from prefixcode.sources import AlphaSequence, Geometric, SourceSpec
-
-
-class ParseError(PrefixCodeError):
-    """Malformed rational, distribution file, or source literal."""
-
-
-# Largest size of a literal's decimal exponent: Fraction builds
-# 10**exponent whatever its size, so "1e-1000000000" would ask for a
-# 3.3-billion-bit integer.
-MAX_EXPONENT = 10**5
-
-# Fraction's grammar of a decimal literal with an exponent, which it captures
-_DECIMAL_EXP = re.compile(
-    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?e([-+]?\d+(?:_\d+)*)",
-    re.IGNORECASE)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "a/b", an integer, or a decimal literal to its exact value.
-
-    The grammar is ``Fraction``'s on Python 3.11, whose message a rejected
-    literal keeps: no whitespace inside the literal, though later versions
-    accept "5 / 3".  An exponent larger than ``MAX_EXPONENT`` in size is
-    refused before ``Fraction`` builds its power of ten.
-    """
-    literal = text.strip()
-    try:
-        if any(map(str.isspace, literal)):
-            raise ValueError(f"Invalid literal for Fraction: {literal!r}")
-        exp = _DECIMAL_EXP.fullmatch(literal)
-        if exp and abs(int(exp[1])) > MAX_EXPONENT:
-            raise ValueError(f"its exponent exceeds the limit of {MAX_EXPONENT}")
-        return Fraction(literal)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse rational {text!r}: {exc}") from None
 
 
 def _shared_denominator(text: str) -> FiniteDistribution | None:
@@ -96,7 +60,7 @@ def read_distribution_file(path: str | Path) -> FiniteDistribution:
 
     A file of "a/D" lines over one shared denominator is converted whole
     (see :func:`_shared_denominator`).  Any other file goes line by line
-    through :func:`parse_rational` and :func:`validate`.
+    through :func:`exact_fraction` and :func:`validate`.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -111,7 +75,7 @@ def read_distribution_file(path: str | Path) -> FiniteDistribution:
         if not line or line.startswith("#"):
             continue
         try:
-            probs.append(parse_rational(line))
+            probs.append(exact_fraction(line))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     return validate(probs)
@@ -121,7 +85,7 @@ def parse_source(text: str) -> FiniteDistribution | SourceSpec:
     """Resolve a source literal to a finite distribution or a spec."""
     text = text.strip()
     if text.startswith("geom:"):
-        return Geometric(parse_rational(text[len("geom:") :]))
+        return Geometric(exact_fraction(text[len("geom:") :]))
     if text.startswith("alpha:"):
         body = text[len("alpha:") :].strip()
         if not (body.startswith("[") and body.endswith("]")):
@@ -129,7 +93,7 @@ def parse_source(text: str) -> FiniteDistribution | SourceSpec:
         inner = body[1:-1]
         if not inner.strip():
             raise ParseError("alpha literal needs at least one ratio")
-        return AlphaSequence(tuple(map(parse_rational, inner.split(","))))
+        return AlphaSequence(tuple(map(exact_fraction, inner.split(","))))
     if text.startswith("file:"):
         return read_distribution_file(text[len("file:") :])
     raise ParseError(

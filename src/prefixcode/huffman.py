@@ -15,6 +15,7 @@ children sit one level deeper.  No merge tree is built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -213,7 +214,7 @@ class LengthVector:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        lengths = tuple(int(l) for l in self.lengths)
+        lengths = tuple(map(operator.index, self.lengths))
         object.__setattr__(self, "lengths", lengths)
         if not lengths:
             raise TooFewEntriesError("length vector cannot be empty")

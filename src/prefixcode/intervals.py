@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from prefixcode.errors import OutOfRangeError
-from prefixcode.numutil import floor_neg_log2, rat_str
+from prefixcode.numutil import exact_fraction, floor_neg_log2, rat_str
 from prefixcode.sources import SourceSpec
 
 _HALF = Fraction(1, 2)
@@ -44,7 +44,7 @@ class L1Interval:
         return Fraction(1, 2**self.k - 1)
 
     def contains(self, p: Fraction) -> bool:
-        return self.lower < p < self.upper
+        return self.lower < exact_fraction(p) < self.upper
 
 
 def interval_for(k: int) -> L1Interval:
@@ -71,7 +71,7 @@ class L1Classification:
 
 def classify_l1(p1: Fraction) -> L1Classification:
     """Classify a top probability; open intervals, boundaries excluded."""
-    p1 = Fraction(p1)
+    p1 = exact_fraction(p1)
     if not 0 < p1 < 1:
         raise OutOfRangeError(f"p1 must be in (0, 1), got {rat_str(p1)}")
     if p1 >= _HALF:

@@ -1,37 +1,61 @@
-"""Exact integer and rational helpers: log2 floors and exact renderings.
-
-Everything here is pure integer arithmetic; no value is ever rounded through
-a float.
+"""Exact integer and rational helpers: :func:`exact_fraction`, the one reader
+of numbers from outside the package, then log2 floors and exact renderings
+in pure integer arithmetic; no value is ever rounded through a float.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from prefixcode.errors import OutOfRangeError
+from prefixcode.errors import OutOfRangeError, ParseError
+
+# Largest size of a literal's decimal exponent: Fraction builds
+# 10**exponent whatever its size, so "1e-1000000000" would ask for a
+# 3.3-billion-bit integer.
+MAX_EXPONENT = 10**5
+
+# Fraction's grammar of a decimal literal with an exponent, which it captures
+_DECIMAL_EXP = re.compile(
+    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?e([-+]?\d+(?:_\d+)*)",
+    re.IGNORECASE)
 
 
 def exact_fraction(value) -> Fraction:
-    """Exact rational from int, Fraction, string, or float.
-
-    Floats convert through their shortest decimal rendering (0.4 becomes
-    2/5), never through their binary expansion.
+    """The exact rational that a library argument, CLI string or file line
+    names.  A Fraction is returned as it is; a float reads as its shortest
+    decimal (0.4 is 2/5), not its binary expansion; a string, once stripped,
+    follows ``Fraction``'s Python 3.11 grammar and message (no inner
+    whitespace, though 3.12 accepts "5 / 3"), refuses an exponent over
+    ``MAX_EXPONENT`` in size before ``Fraction`` builds its power of ten, and
+    raises :class:`ParseError` when malformed (as a float's nan and inf are);
+    any other value goes to ``Fraction``.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
+        value = repr(value)
+    elif not isinstance(value, str):
+        return Fraction(value)
+    literal = value.strip()
+    try:
+        if any(map(str.isspace, literal)):
+            raise ValueError(f"Invalid literal for Fraction: {literal!r}")
+        exp = _DECIMAL_EXP.fullmatch(literal)
+        if exp and abs(int(exp[1])) > MAX_EXPONENT:
+            raise ValueError(f"its exponent exceeds the limit of {MAX_EXPONENT}")
+        return Fraction(literal)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cannot parse rational {value!r}: {exc}") from None
 
 
 def rat_str(x) -> str:
     """Exact "a/b" rendering of a rational of any size (see
     :func:`weight_strs`)."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    x = exact_fraction(x)
     return weight_strs((x.numerator,), x.denominator)[0]
 
 
@@ -86,7 +110,7 @@ def floor_log2(n: int) -> int:
 
 def floor_neg_log2(p: Fraction) -> int:
     """Largest t with p <= 2**-t, i.e. floor(-log2 p), for 0 < p <= 1."""
-    p = Fraction(p)
+    p = exact_fraction(p)
     if not 0 < p <= 1:
         raise OutOfRangeError(f"floor_neg_log2 needs 0 < p <= 1, got {rat_str(p)}")
     # for p = a/b the largest t with a * 2**t <= b: 2**t <= b/a exactly
@@ -95,7 +119,7 @@ def floor_neg_log2(p: Fraction) -> int:
 
 
 def _scaled(x: Fraction, places: int) -> tuple[int, int]:
-    x = Fraction(x)
+    x = exact_fraction(x)
     if x < 0:
         raise OutOfRangeError("decimal rendering expects a non-negative value")
     return x.numerator * 10**places, x.denominator

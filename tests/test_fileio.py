@@ -11,23 +11,19 @@ from prefixcode.errors import (
     NonPositiveEntryError,
     NotNormalizedError,
     NotSortedError,
+    ParseError,
     PrefixCodeError,
     TooFewEntriesError,
 )
-from prefixcode.fileio import (
-    MAX_EXPONENT,
-    ParseError,
-    _shared_denominator,
-    parse_rational,
-    read_distribution_file,
-)
+from prefixcode.fileio import _shared_denominator, read_distribution_file
+from prefixcode.numutil import MAX_EXPONENT, exact_fraction
 
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
 def reference_read(path):
     """The reader as it was before the integer path: one ``Fraction`` per
-    line through ``parse_rational``, then ``validate``."""
+    line through ``exact_fraction``, then ``validate``."""
     text = Path(path).read_text(encoding="utf-8-sig")
     probs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -35,7 +31,7 @@ def reference_read(path):
         if not line or line.startswith("#"):
             continue
         try:
-            probs.append(parse_rational(line))
+            probs.append(exact_fraction(line))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     return validate(probs)
@@ -228,24 +224,24 @@ def test_whitespace_inside_a_literal_is_rejected(text, literal):
     # Python 3.12 and later accept "5 / 3"; the grammar and message stay
     # those of Python 3.11
     with pytest.raises(ParseError) as got:
-        parse_rational(text)
+        exact_fraction(text)
     assert str(got.value) == (
         f"cannot parse rational {text!r}: Invalid literal for Fraction: {literal!r}")
 
 
 def test_exponent_is_capped_before_fraction_runs():
-    assert parse_rational(f"1e-{MAX_EXPONENT}") == F(1, 10**MAX_EXPONENT)
-    assert parse_rational(f"2.5E+{MAX_EXPONENT}") == 25 * 10**(MAX_EXPONENT - 1)
+    assert exact_fraction(f"1e-{MAX_EXPONENT}") == F(1, 10**MAX_EXPONENT)
+    assert exact_fraction(f"2.5E+{MAX_EXPONENT}") == 25 * 10**(MAX_EXPONENT - 1)
     for literal in (f"1e-{MAX_EXPONENT + 1}", f"-.5E{MAX_EXPONENT + 1}",
                     "1e1_000_000_000", "3.e+0100001"):
         with pytest.raises(ParseError) as got:
-            parse_rational(literal)
+            exact_fraction(literal)
         assert str(got.value) == (f"cannot parse rational {literal!r}:"
                                   f" its exponent exceeds the limit of {MAX_EXPONENT}")
     # a literal outside Fraction's grammar keeps Fraction's message
     for literal in ("1/2e9999999", "abce9999999", "1e_9999999", "1e9999999_"):
         with pytest.raises(ParseError) as got:
-            parse_rational(literal)
+            exact_fraction(literal)
         assert str(got.value).endswith(f"Invalid literal for Fraction: {literal!r}")
 
 

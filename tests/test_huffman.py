@@ -208,6 +208,14 @@ class TestLengthVector:
         with pytest.raises(TooFewEntriesError):
             LengthVector(())
 
+    def test_a_non_integral_length_is_refused(self):
+        # each entry is read as an index, as range() reads one: no float or
+        # string is floored to an int
+        for build, lengths in ((LengthVector, (1.5, 1.9)), (kraft_sum, [1.5, 1.9]),
+                               (canonical_codebook, [1.7, 1.2]), (LengthVector, ("1", "2"))):
+            with pytest.raises(TypeError):
+                build(lengths)
+
     def test_huffman_output_is_non_decreasing(self, rng):
         for _ in range(20):
             d = random_distribution(rng, rng.randint(2, 30))

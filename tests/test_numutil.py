@@ -1,4 +1,5 @@
-"""Exact renderings: ``weight_strs`` and ``rat_str`` against ``str(Fraction)``."""
+"""Exact reading and rendering: ``exact_fraction`` on every argument type, and
+``weight_strs`` and ``rat_str`` against ``str(Fraction)``."""
 
 import json
 import sys
@@ -7,9 +8,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from prefixcode import Geometric, truncate
+from prefixcode import (
+    AlphaSequence,
+    Geometric,
+    L1Classification,
+    L1Interval,
+    classify_l1,
+    counterexample,
+    delta_bounds,
+    l1_lower_bound,
+    truncate,
+)
 from prefixcode.cli import run
-from prefixcode.errors import OutOfRangeError
+from prefixcode.errors import OutOfRangeError, ParseError
 from prefixcode.numutil import (
     decimal_ceil,
     decimal_floor,
@@ -111,6 +122,52 @@ def test_fraction_input_builds_no_fraction(monkeypatch):
     assert [rat_str(v) for v in (3, "0.4", 0.5, F(6, 4))] == ["3", "2/5", "1/2", "3/2"]
     assert exact_fraction(0.4) == F(2, 5)
     assert exact_fraction(3) == F(3) and exact_fraction("-2/6") == F(-1, 3)
+
+
+def test_a_float_argument_reads_as_its_shortest_decimal(rng):
+    # floats in (0, 1): a few named ones and seeded ones of at most six decimals
+    floats = [0.4, 0.5, 0.1, 0.3, 1e-5] + [rng.randint(1, 999_999) / 10**6 for _ in range(60)]
+    for x, y in zip(floats, floats[::-1]):
+        fx, fy = F(repr(x)), F(repr(y))
+        assert classify_l1(x) == classify_l1(fx)
+        for k in range(1, 7):
+            assert L1Interval(k).contains(x) is L1Interval(k).contains(fx)
+        assert l1_lower_bound(x) == l1_lower_bound(fx)
+        for a, b in ((x, y), (y, x), (x, x)):
+            fa, fb = F(repr(a)), F(repr(b))
+            assert delta_bounds(x, 10, a=a, b=b) == delta_bounds(fx, 10, a=fa, b=fb)
+        assert floor_neg_log2(x) == floor_neg_log2(fx)
+        assert rat_str(x) == rat_str(fx)
+        for render in (decimal_floor, decimal_ceil, decimal_str):
+            assert render(x, 3) == render(fx, 3)
+
+
+def test_an_interval_endpoint_given_as_a_float_stays_in_its_gap():
+    # 0.4 is 2/5, the open lower end of interval 1; its binary expansion
+    # lies just above it
+    assert classify_l1(0.4) == L1Classification(k=None, gap=(1, 2))
+    assert not L1Interval(1).contains(0.4)
+    assert delta_bounds(0.2, 10, b=0.3) == (F(20, 3), None)
+
+
+@pytest.mark.parametrize("call, argv", [
+    (lambda: Geometric("1e-100001"), ["analyze", "geom:1e-100001", "--truncate", "4"]),
+    (lambda: AlphaSequence(("2/5", "1e-100001")),
+     ["converge", "--spec", "alpha:[2/5,1e-100001]", "--depth", "2"]),
+    (lambda: counterexample(1, "1/0"), ["counterexample", "1", "--epsilon", "1/0"]),
+    (lambda: exact_fraction(float("nan")), ["classify-l1", "nan"]),
+])
+def test_a_library_string_follows_the_cli_grammar(capsys, call, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    with pytest.raises(ParseError) as got:
+        call()
+    assert err == f"error: {got.value}\n"
+    assert str(got.value).startswith("cannot parse rational ")
+
+
+def test_a_library_string_is_stripped_as_the_cli_strips_it():
+    assert Geometric(" 1/4 ") == Geometric(F(1, 4))
 
 
 def reference_floor_neg_log2(a, b):
