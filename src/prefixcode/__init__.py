@@ -18,9 +18,7 @@ from prefixcode.antiuniform import (
 )
 from prefixcode.convergence import (
     ConvergenceReport,
-    Stabilization,
     SymbolReport,
-    detect_stabilization,
     estimate_optimal_lengths,
     truncation_sequence,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "MergeTrace",
     "OptimalSet",
     "SourceSpec",
-    "Stabilization",
     "SymbolReport",
     "alpha_criterion",
     "alpha_pairwise_criterion",
@@ -106,7 +103,6 @@ __all__ = [
     "coverage_sum",
     "delta_bounds",
     "delta_occasion",
-    "detect_stabilization",
     "enumerate_kraft_tight",
     "estimate_optimal_lengths",
     "expected_length",

@@ -68,6 +68,14 @@ def check_finite(dist: FiniteDistribution) -> AntiUniformVerdict:
     return AntiUniformVerdict(True)
 
 
+def check_depth(depth: int) -> None:
+    """Raise :class:`OutOfRangeError` unless 1 <= depth <= MAX_DEPTH."""
+    if depth < 1:
+        raise OutOfRangeError(f"depth must be >= 1, got {depth}")
+    if depth > MAX_DEPTH:
+        raise OutOfRangeError(f"depth {depth} exceeds the limit {MAX_DEPTH}")
+
+
 def check_infinite_tail(spec: SourceSpec, depth: int) -> AntiUniformVerdict:
     """Exact infinite-tail test for all 1 <= i <= depth.
 
@@ -76,10 +84,7 @@ def check_infinite_tail(spec: SourceSpec, depth: int) -> AntiUniformVerdict:
     sum is checked against the spec's exact S_(i+1) at the index
     reported, or at depth + 1 when the test holds.
     """
-    if depth < 1:
-        raise OutOfRangeError(f"depth must be >= 1, got {depth}")
-    if depth > MAX_DEPTH:
-        raise OutOfRangeError(f"depth {depth} exceeds the limit {MAX_DEPTH}")
+    check_depth(depth)
     nums, den = spec.prefix_numerators(depth + 1)
     head = nums[0]
     for i in range(1, depth + 1):

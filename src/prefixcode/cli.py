@@ -36,6 +36,7 @@ from pathlib import Path
 from prefixcode import __version__
 from prefixcode.antiuniform import (
     alpha_criterion,
+    check_depth,
     check_finite,
     check_infinite_tail,
 )
@@ -245,6 +246,7 @@ def _cmd_delta(args) -> tuple[dict, dict]:
 
 
 def _cmd_anti_uniform(args) -> tuple[dict, dict]:
+    check_depth(args.depth)  # in both modes, before the source is read
     parsed = parse_source(args.source)
     inputs = {"source": args.source, "depth": args.depth}
     if isinstance(parsed, FiniteDistribution):
@@ -266,6 +268,8 @@ def _cmd_anti_uniform(args) -> tuple[dict, dict]:
 
 
 def _cmd_oracle(args) -> tuple[dict, dict]:
+    if args.max_len is not None and not args.count_only:  # before the file is read
+        raise PrefixCodeError("--max-len only applies with --count-only")
     dist = read_distribution_file(args.dist_file)
     inputs = {"dist_file": args.dist_file}
     if args.count_only:

@@ -20,7 +20,7 @@ from typing import Sequence
 from prefixcode import kernel
 from prefixcode.antiuniform import alpha_criterion
 from prefixcode.distributions import check_weights
-from prefixcode.errors import NotNormalizedError, OutOfRangeError, SymbolOutOfRangeError
+from prefixcode.errors import NotNormalizedError, OutOfRangeError
 # huffman_lengths stays importable from this module: perfbench's tracer
 # tests rebind it under this name
 from prefixcode.huffman import LengthVector, huffman_lengths  # noqa: F401
@@ -132,44 +132,6 @@ def truncation_sequence(spec: SourceSpec, n_min: int, n_max: int) -> list[Length
 
 
 @dataclass(frozen=True)
-class Stabilization:
-    """Trailing-window verdict for one symbol."""
-
-    length: int | None
-    observed: tuple[tuple[int, int], ...]  # (n, length) across the window
-
-    @property
-    def stabilized(self) -> bool:
-        return self.length is not None
-
-
-def detect_stabilization(
-    seq: Sequence[Sequence[int]], symbol: int, window: int, n_min: int = 2
-) -> Stabilization:
-    """Check whether a symbol's length is constant over the trailing window.
-
-    ``seq`` holds the length vectors (or their leading entries) for
-    consecutive sizes starting at ``n_min``.  The window covers the last
-    ``window`` entries, all of which must contain the symbol.
-    """
-    if not 1 <= window <= len(seq):
-        raise OutOfRangeError(f"window must be in [1, {len(seq)}], got {window}")
-    first_n = n_min + len(seq) - window
-    if symbol < 1 or symbol > first_n:
-        raise SymbolOutOfRangeError(
-            f"symbol {symbol} not present in every window code (window starts at n={first_n})"
-        )
-    tail = seq[len(seq) - window :]
-    observed = tuple(
-        (first_n + off, vec[symbol - 1]) for off, vec in enumerate(tail)
-    )
-    values = {length for _, length in observed}
-    if len(values) == 1:
-        return Stabilization(values.pop(), observed)
-    return Stabilization(None, observed)
-
-
-@dataclass(frozen=True)
 class SymbolReport:
     symbol: int
     stabilized_length: int | None
@@ -214,18 +176,17 @@ class ConvergenceReport:
         }
 
 
-def _final_run_starts(seq: Sequence[Sequence[int]], n_min: int = 2) -> list[int]:
+def _final_run_starts(seq: Sequence[Sequence[int]]) -> list[int]:
     """For each symbol s that the last entry of ``seq`` holds, the first n
-    of the run of equal lengths of s that ends there (n counted as in
-    :func:`detect_stabilization`); an entry too short to hold s ends the
-    run.
+    of the run of equal lengths of s that ends there, ``seq[0]`` being
+    n = 2; an entry too short to hold s ends the run.
 
     Walks back from the end one whole entry at a time: an entry equal to
     the one after it ends no run, so only entries that differ from their
     successor are looked at symbol by symbol.
     """
     last = seq[-1]
-    starts = [n_min] * len(last)
+    starts = [2] * len(last)
     running = range(len(last))  # the symbols whose run has not ended
     later = last
     for off in range(len(seq) - 2, -1, -1):
@@ -239,31 +200,37 @@ def _final_run_starts(seq: Sequence[Sequence[int]], n_min: int = 2) -> list[int]
             if s < held and row[s] == last[s]:
                 still.append(s)
             else:
-                starts[s] = n_min + off + 1
+                starts[s] = off + 3  # the n of the entry after seq[off]
         if not still:
             break
         running = still
     return starts
 
 
-def _check_window_top(spec: SourceSpec, stab: Stabilization, k: int) -> None:
-    """Raise :class:`OutOfRangeError` if a window truncation's own top
-    probability p1/S_n does not classify to the certified l_1 = k.
+def _check_window_top(spec: SourceSpec, first_n: int, n_max: int, k: int) -> None:
+    """Raise :class:`OutOfRangeError` if a truncation of the window
+    n = first_n..n_max has its own top probability p1/S_n outside the
+    interval that certifies l_1 = k.
 
     The interval theorem pins l_1 = k for a truncation only when its own
     p1/S_n lies in the k-th interval; a window of small n can fall outside
     it, so an observed l_1 != k there contradicts nothing.
+
+    Only truncation first_n is classified.  Its top probability is
+    t_n = p1/S_n; S_n strictly increases with n, so t_n strictly decreases,
+    and t_n > p1.  p1 lies in interval k (or at or above 1/2 for the half
+    rule), whose lower end t_n thus exceeds, so t_n classifies as k exactly
+    when t_n < 1/(2**k - 1), which then holds for every later n too.  The
+    first n of the window whose t_n misclassifies is therefore first_n, or
+    there is none.
     """
-    p1 = spec.prob(1)
-    for n, _ in stab.observed:
-        top = p1 / spec.head_sum(n)
-        if classify_l1(top).k != k:
-            first, last = stab.observed[0][0], stab.observed[-1][0]
-            raise OutOfRangeError(
-                f"window n = {first}..{last} is too early: truncation n = {n} has "
-                f"top probability {rat_str(top)}, outside the interval that "
-                f"certifies l_1 = {k}; raise --nmax"
-            )
+    top = spec.prob(1) / spec.head_sum(first_n)
+    if classify_l1(top).k != k:
+        raise OutOfRangeError(
+            f"window n = {first_n}..{n_max} is too early: truncation n = {first_n} has "
+            f"top probability {rat_str(top)}, outside the interval that "
+            f"certifies l_1 = {k}; raise --nmax"
+        )
 
 
 def estimate_optimal_lengths(
@@ -296,9 +263,14 @@ def estimate_optimal_lengths(
     skewed = alpha_criterion(spec.alphas_cover())
 
     since = _final_run_starts(seq)
+    first_n = n_max - window + 1
+    last = seq[-1]
     reports = []
     for symbol in range(1, depth + 1):
-        stab = detect_stabilization(seq, symbol, window)
+        # the window lies inside the final run exactly when that run starts
+        # at or before the window's first n
+        stable_since = since[symbol - 1] if since[symbol - 1] <= first_n else None
+        length = last[symbol - 1] if stable_since is not None else None
         certificate = None
         certified_value = None
         if symbol == 1 and classification.determined:
@@ -310,27 +282,25 @@ def estimate_optimal_lengths(
         elif skewed:
             certified_value = symbol
             certificate = f"alpha-threshold criterion: l_{symbol} = {symbol}"
-        if certified_value is not None and stab.stabilized:
-            if stab.length != certified_value:
+        if certified_value is not None and length is not None:
+            if length != certified_value:
                 if symbol == 1 and classification.determined:
-                    _check_window_top(spec, stab, certified_value)
+                    _check_window_top(spec, first_n, n_max, certified_value)
                 raise RuntimeError(
-                    f"symbol {symbol}: observed {stab.length} contradicts "
+                    f"symbol {symbol}: observed {length} contradicts "
                     f"certified {certified_value}"
                 )
-        # the window lies inside the final run of a stabilized length
-        stable_since = since[symbol - 1] if stab.stabilized else None
         witness = None
-        if not stab.stabilized:
-            changes = [stab.observed[0]]
-            for (n, l) in stab.observed[1:]:
-                if l != changes[-1][1]:
-                    changes.append((n, l))
+        if length is None:
+            changes = []
+            for n, row in enumerate(seq[first_n - 2 :], start=first_n):
+                if not changes or row[symbol - 1] != changes[-1][1]:
+                    changes.append((n, row[symbol - 1]))
             witness = tuple(changes)
         reports.append(
             SymbolReport(
                 symbol=symbol,
-                stabilized_length=stab.length,
+                stabilized_length=length,
                 stable_since=stable_since,
                 oscillation_witness=witness,
                 status=CERTIFIED if certificate is not None else EMPIRICAL,

@@ -74,7 +74,3 @@ class OutOfRangeError(PrefixCodeError):
 
 class UniverseTooLargeError(PrefixCodeError):
     """The brute-force enumeration universe is too large to certify."""
-
-
-class SymbolOutOfRangeError(PrefixCodeError):
-    """The requested symbol index is not covered by every inspected code."""

@@ -101,31 +101,6 @@ class MergeTrace:
         object.__setattr__(self, "sums", tuple(sums))
         object.__setattr__(self, "lengths", tuple(lengths))
 
-    def _replay(self) -> Iterator[list[int]]:
-        """The weight list at m = 0, 1, ..., n-1; one list, updated in place
-        between yields."""
-        vals = list(self.nums)
-        yield vals
-        for k, s in zip(self.ks, self.sums):
-            del vals[-2:]
-            vals.insert(k - 1, s)
-            yield vals
-
-    @property
-    def states(self) -> tuple[MergeState, ...]:
-        """Every state from m = 0 to m = n-1."""
-        den = self.den
-        return tuple(MergeState(m, tuple(vals), den) for m, vals in enumerate(self._replay()))
-
-    @property
-    def insertions(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """``insertions[m-1]`` is ``(m, k, merged)``: merge number m placed
-        the merged mass at 1-based index k of the reduced state."""
-        return tuple(
-            (m, k, Fraction(s, self.den))
-            for m, (k, s) in enumerate(zip(self.ks, self.sums), start=1)
-        )
-
     @cached_property
     def _strs(self) -> tuple[list[str], list[str]]:
         """The input weights and the merged weights as

@@ -620,6 +620,26 @@ def test_truncate_of_a_file_source_rejected(capsys, dist_file, tmp_path, command
             "error: --truncate only applies to infinite source literals\n")
 
 
+@pytest.mark.parametrize("depth, message", [
+    ("-5", "depth must be >= 1, got -5"),
+    ("0", "depth must be >= 1, got 0"),
+    ("4097", "depth 4097 exceeds the limit 4096"),
+])
+def test_anti_uniform_depth_checked_before_the_source_is_read(capsys, dist_file, tmp_path,
+                                                               depth, message):
+    # in both modes: a file source (valid or missing) and an infinite literal
+    for source in (f"file:{dist_file}", f"file:{tmp_path / 'missing.txt'}", "geom:1/4"):
+        assert run(["anti-uniform", source, "--depth", depth]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_max_len_without_count_only_rejected(capsys, dist_file, tmp_path):
+    # refused before the file is read, so a missing file gets the same message
+    for path in (dist_file, tmp_path / "missing.txt"):
+        assert run(["oracle", str(path), "--max-len", "3"]) == 2
+        assert capsys.readouterr().err == "error: --max-len only applies with --count-only\n"
+
+
 class TestAntiUniform:
     def test_finite(self, capsys, dist_file):
         report, _ = run_json(capsys, ["anti-uniform", f"file:{dist_file}"])

@@ -11,7 +11,8 @@ from prefixcode import (
     Geometric,
     anti_uniform_lengths,
     check_infinite_tail,
-    detect_stabilization,
+    classify_l1,
+    classify_l1_infinite,
     estimate_optimal_lengths,
     huffman_lengths,
     kernel,
@@ -27,12 +28,7 @@ from prefixcode.convergence import (
     _sweep,
     check_sweep_work,
 )
-from prefixcode.errors import (
-    NotNormalizedError,
-    NotSortedError,
-    OutOfRangeError,
-    SymbolOutOfRangeError,
-)
+from prefixcode.errors import NotNormalizedError, NotSortedError, OutOfRangeError
 from prefixcode.fileio import parse_source
 from prefixcode.numutil import common_numerators
 from prefixcode.sources import MAX_DENOMINATOR_BITS, AlphaVector, check_denominator_bits
@@ -239,33 +235,35 @@ def test_sweep_work_cap_refuses_before_any_term_is_built(monkeypatch):
 
 
 class TestDetectStabilization:
+    """The trailing-window verdict of :func:`estimate_optimal_lengths`."""
+
     def test_geometric_half_symbol_one(self):
-        seq = truncation_sequence(Geometric(F(1, 2)), 2, 40)
-        stab = detect_stabilization(seq, 1, 16)
-        assert stab.stabilized and stab.length == 1
+        entry = estimate_optimal_lengths(Geometric(F(1, 2)), 1, n_max=40, window=16).per_symbol[0]
+        assert entry.stabilized_length == 1 and entry.oscillation_witness is None
 
     def test_geometric_quarter_symbol_one(self):
-        seq = truncation_sequence(Geometric(F(1, 4)), 2, 40)
-        stab = detect_stabilization(seq, 1, 16)
-        assert stab.length == 2
+        entry = estimate_optimal_lengths(Geometric(F(1, 4)), 1, n_max=40, window=16).per_symbol[0]
+        assert entry.stabilized_length == 2
 
     def test_boundary_spec_runs_either_way(self):
         # top probability exactly 1/3 sits on an interval endpoint; no
         # theorem applies and oscillation is an accepted outcome
         spec = ExplicitHead((F(1, 3),), F(1, 2))
-        seq = truncation_sequence(spec, 2, 80)
-        stab = detect_stabilization(seq, 1, 16)
-        assert stab.stabilized or len(stab.observed) == 16
+        entry = estimate_optimal_lengths(spec, 1, n_max=80, window=16).per_symbol[0]
+        assert entry.status == EMPIRICAL
+        if entry.stabilized_length is None:
+            assert entry.oscillation_witness[0][0] == 65
+        else:
+            assert entry.stable_since <= 65
 
     def test_symbol_out_of_range(self):
-        seq = truncation_sequence(Geometric(F(1, 2)), 2, 10)
-        with pytest.raises(SymbolOutOfRangeError):
-            detect_stabilization(seq, 9, 4)
+        # symbol 9 is not in every window code of n = 7..10
+        with pytest.raises(OutOfRangeError, match="^depth 9 exceeds n_max - window = 6$"):
+            estimate_optimal_lengths(Geometric(F(1, 2)), 9, n_max=10, window=4)
 
     def test_window_validation(self):
-        seq = truncation_sequence(Geometric(F(1, 2)), 2, 10)
-        with pytest.raises(OutOfRangeError):
-            detect_stabilization(seq, 1, 100)
+        with pytest.raises(OutOfRangeError, match=r"^window must be in \[1, 9\], got 100$"):
+            estimate_optimal_lengths(Geometric(F(1, 2)), 1, n_max=10, window=100)
 
 
 class TestEstimate:
@@ -320,8 +318,6 @@ class TestEstimate:
 def test_classification_matches_stabilized_length_battery():
     # every spec with a determined classification must stabilize to it;
     # estimate_optimal_lengths raises internally on any contradiction
-    from prefixcode import classify_l1_infinite
-
     battery = [
         Geometric(F(1, 4)),
         Geometric(F(9, 20)),
@@ -371,6 +367,54 @@ def test_small_windows_never_contradict_a_certificate():
     assert early == 513
 
 
+def test_misclassified_truncation_tops_form_a_prefix():
+    # why a window's top probability is checked at its first n only: the n
+    # whose own p1/S_n does not classify as the source's l_1 are 2..N0
+    prefixes = {}
+    for literal in SCAN_SPECS:
+        spec = parse_source(literal)
+        cls = classify_l1_infinite(spec)
+        if not cls.determined:
+            continue
+        p1 = spec.prob(1)
+        wrong = [n for n in range(2, 401) if classify_l1(p1 / spec.head_sum(n)).k != cls.k]
+        assert wrong == list(range(2, len(wrong) + 2))
+        prefixes[literal] = len(wrong)
+    assert [prefixes[f"geom:1/{b}"] for b in (2, 4, 8, 16, 32)] == [0, 3, 14, 41, 108]
+
+
+def test_report_verdicts_match_the_first_window_verdict():
+    # every symbol's length, stable_since and witness against the verdict as
+    # first written, on windows of early and of late truncations
+    oscillating = 0
+    for literal in SCAN_SPECS:
+        spec = parse_source(literal)
+        for n_max, window in ((12, 1), (24, 8), (40, 20), (64, 32), (64, 63)):
+            try:
+                report = estimate_optimal_lengths(spec, n_max - window, n_max=n_max,
+                                                  window=window)
+            except OutOfRangeError as exc:  # a window too early for the certified l_1
+                assert str(exc).endswith("raise --nmax")
+                continue
+            seq = report.length_prefixes
+            for entry in report.per_symbol:
+                length, observed = _reference_stabilization(seq, entry.symbol, window)
+                assert entry.stabilized_length == length
+                if length is not None:
+                    assert entry.stable_since == _reference_stable_since(
+                        seq, entry.symbol, window, length)
+                    assert entry.oscillation_witness is None
+                    continue
+                oscillating += 1
+                changes = [observed[0]]
+                for n, l in observed[1:]:
+                    if l != changes[-1][1]:
+                        changes.append((n, l))
+                assert entry.stable_since is None
+                assert entry.oscillation_witness == tuple(changes)
+    assert oscillating > 0
+
+
 def _reference_csv_rows(seq, depth, n_min=2):
     """The CSV rows as first written: one branch per cell."""
     rows = [["n"] + [f"l_{i}" for i in range(1, depth + 1)]]
@@ -392,6 +436,17 @@ def test_csv_rows_shape():
     assert rows[1] == ["2", "1", "1", "", ""]
     assert rows[-1] == ["6", "1", "2", "3", "4"]
     assert _csv_text(seq, 4, 2).split("\n") == [",".join(row) for row in rows] + [""]
+
+
+def _reference_stabilization(seq, symbol, window):
+    """The trailing-window verdict as first written: the symbol's length if
+    it is constant over the last ``window`` entries (else None), and the
+    ``(n, length)`` pairs of those entries, ``seq[0]`` being n = 2."""
+    first_n = 2 + len(seq) - window
+    tail = seq[len(seq) - window :]
+    observed = tuple((first_n + off, vec[symbol - 1]) for off, vec in enumerate(tail))
+    values = {length for _, length in observed}
+    return (values.pop() if len(values) == 1 else None), observed
 
 
 def _reference_stable_since(seq, symbol, window, length):
@@ -425,11 +480,13 @@ def test_csv_rows_and_stable_since_match_their_first_versions(rng):
         for symbol in range(1, len(seq[-1]) + 1):
             if symbol > len(seq) + 2 - window:
                 continue  # not in every window entry
-            stab = detect_stabilization(seq, symbol, window)
-            if stab.stabilized:
+            length, _ = _reference_stabilization(seq, symbol, window)
+            # the report's verdict: stabilized iff the final run holds the window
+            assert (since[symbol - 1] <= len(seq) + 2 - window) == (length is not None)
+            if length is not None:
                 stabilized += 1
                 assert since[symbol - 1] == _reference_stable_since(
-                    seq, symbol, window, stab.length)
+                    seq, symbol, window, length)
     assert stabilized > 200
 
 
@@ -464,7 +521,6 @@ def test_final_run_starts_when_one_symbol_changes_at_a_time(rng):
                 row[symbol] = rng.choice([v for v in (1, 2, 3) if v != row[symbol]])
             seq.append(tuple(row))
         assert _final_run_starts(seq) == _reference_final_run_starts(seq)
-        assert _final_run_starts(seq, 7) == [s + 5 for s in _reference_final_run_starts(seq)]
 
 
 def leading_depths(nums, d):

@@ -31,7 +31,7 @@ from prefixcode.errors import (
     TooFewEntriesError,
 )
 from randgen import near_uniform_distribution, random_distribution, tie_heavy_distribution
-from test_kernel import merge_step
+from test_kernel import merge_step, trace_states
 
 
 class TestMergeStep:
@@ -101,15 +101,15 @@ class TestHuffman:
     def test_trace_structure(self):
         d = validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
         lengths, trace = huffman(d)
-        assert len(trace.states) == d.n
-        assert trace.states[0].probs == d.probs
-        assert trace.states[-1].probs == (F(1),)
+        states = trace_states(trace)
+        assert len(states) == d.n
+        assert states[0].probs == d.probs
+        assert states[-1].probs == (F(1),)
         # every state is reproduced by replaying merge_step
         for m in range(1, d.n):
-            expected, k = merge_step(trace.states[m - 1])
-            assert expected == trace.states[m]
-            assert trace.insertions[m - 1] == (
-                m,
+            expected, k = merge_step(states[m - 1])
+            assert expected == states[m]
+            assert (trace.ks[m - 1], F(trace.sums[m - 1], trace.den)) == (
                 k,
                 expected.probs[k - 1],
             )
@@ -288,12 +288,13 @@ class TestTraceRecord:
     def test_states_and_insertions_match_merge_step(self, rng):
         for d in trace_instances(rng):
             _, trace = huffman(d)
-            states = trace.states
+            states = trace_states(trace)
             assert states[0] == MergeState(0, d.nums, d.den)
             for m in range(1, d.n):
                 expected, k = merge_step(states[m - 1])
                 assert states[m] == expected
-                assert trace.insertions[m - 1] == (m, k, expected.probs[k - 1])
+                assert (trace.ks[m - 1], F(trace.sums[m - 1], trace.den)) == (
+                    k, expected.probs[k - 1])
 
     def test_record_is_integer(self):
         d = validate([F(2, 5), F(3, 10), F(1, 5), F(1, 10)])

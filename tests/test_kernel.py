@@ -72,6 +72,19 @@ def merge_step(state):
     return MergeState(state.m + 1, *common_numerators(rest)), lo + 1
 
 
+def trace_states(trace):
+    """The states of a merge trace at m = 0, 1, ..., n-1, replayed from its
+    record ``(nums, ks, sums)``: merge m drops the last two weights and
+    puts ``sums[m-1]`` at 1-based index ``ks[m-1]``."""
+    vals = list(trace.nums)
+    states = [MergeState(0, tuple(vals), trace.den)]
+    for m, (k, s) in enumerate(zip(trace.ks, trace.sums), start=1):
+        del vals[-2:]
+        vals.insert(k - 1, s)
+        states.append(MergeState(m, tuple(vals), trace.den))
+    return states
+
+
 def reference_run(nums):
     return reference_merges(nums)[:3]
 
