@@ -15,11 +15,13 @@ every later call in the process; argparse keeps no state between parses.
 returns, without json's pure-Python encoder, which ``indent`` selects.
 
 ``--trace PATH`` refuses a trace file over MAX_TRACE_BYTES before the
-report is built, by the trace's ceiling, then its bit-length floor, then
-its exact size, each only when the one before cannot decide.  A traced
-report takes its ``probs`` from the trace's own rendering.  An output path
-is used whenever it is given, even when empty; a path that cannot be
-written exits 2.
+report is built, by the trace's ceiling, then its floor (from bit lengths,
+then from the weights' shared gcd), then its exact size, each only when the
+one before cannot decide.  A traced report takes its ``probs`` from the
+trace's own rendering, and the file's lines are written from the trace's
+line parts: each line's leading entries are a slice of one ASCII rendering
+of the joined input weights.  An output path is used whenever it is given,
+even when empty; a path that cannot be written exits 2.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from prefixcode.distributions import FiniteDistribution, counterexample
 from prefixcode.errors import OutOfRangeError, PrefixCodeError, TailNotComputableError
 from prefixcode.fileio import parse_source, read_distribution_file
 from prefixcode.huffman import (
+    RECORD_END,
     LengthVector,
     MergeTrace,
     canonical_codebook,
@@ -69,11 +72,16 @@ MAX_TRACE_BYTES = 1 << 30
 # were no faster
 TRACE_BLOCK_BYTES = 1 << 18
 
+# the end of each trace line after its last state entry
+_LINE_END = (RECORD_END + "\n").encode("ascii")
+
 # Largest n * bits**2 of a truncation a report renders, with bits the bound
 # of check_denominator_bits on its shared denominator: each of its n weights
-# costs one gcd and one str, both quadratic in the bits.  The denominator
-# cap alone admits a 2**-255 ratio at n = 1024, whose `delta --truncate`
-# rendered for 285 s (7.0e13).  2**41, about 2.2e12, admits every
+# costs one str and one gcd, or at 65 to 4096 bits (numutil.SHARED_GCD_BITS)
+# one product step of the shared gcd, each quadratic in the bits; near the
+# cap the bits are past that range, so each weight takes a gcd.  The
+# denominator cap alone admits a 2**-255 ratio at n = 1024, whose `delta
+# --truncate` rendered for 285 s (7.0e13).  2**41, about 2.2e12, admits every
 # truncation the tests, the benchmark and the README render; the largest,
 # alpha:[3/7,2/5,9/20] at n = 4096, needs 1.7e12.  `analyze` renders the
 # delta state's weights as well as `probs`, so at the cap it takes about
@@ -119,15 +127,22 @@ def _check_render_work(spec: SourceSpec, n: int) -> int:
 
 
 def _write_trace(trace: MergeTrace, path: str) -> None:
-    # the whole trace is O(n**2) characters, so its lines are generated one
-    # at a time and gathered into blocks of at least TRACE_BLOCK_BYTES, each
-    # handed to the unbuffered file in one write: a few large writes, and no
-    # text or buffer layer between the lines and the file
+    # the whole trace is O(n**2) characters, so its lines are built one at a
+    # time from the trace's line parts and gathered into blocks of at least
+    # TRACE_BLOCK_BYTES, each handed to the unbuffered file in one write: a
+    # few large writes, and no text or buffer layer between the lines and
+    # the file.  A line's leading entries are a prefix of the one encoding
+    # of the joined input weights, appended to the block with no join,
+    # format or encode of their own.
+    lead, parts = trace.line_parts()
+    lead = memoryview(lead.encode("ascii"))
     with open(path, "wb", buffering=0) as f:
         block = bytearray()
-        for line in trace.iter_json_lines():
-            block += line.encode("ascii")
-            block += b"\n"
+        for header, end, rest in parts:
+            block += header.encode("ascii")
+            block += lead[:end]
+            block += rest.encode("ascii")
+            block += _LINE_END
             if len(block) >= TRACE_BLOCK_BYTES:
                 _write_block(f, block)
         _write_block(f, block)
@@ -146,15 +161,16 @@ def _code(dist: FiniteDistribution, traced: bool) -> tuple[LengthVector, MergeTr
     before the report is built or the file opened.
 
     The sizes run from cheapest to exact: a trace whose ceiling is within
-    the cap is not sized further; otherwise the bit-length floor
-    refuses most oversized traces unrendered, and the exact size decides
-    the rest."""
+    the cap is not sized further; otherwise the floor refuses most
+    oversized traces unrendered, from bit lengths alone when they suffice
+    and else from the weights' shared gcd, and the exact size decides the
+    rest."""
     if not traced:
         return huffman_lengths(dist), None
     lengths, trace = huffman(dist)
     if trace.json_size_ceiling() <= MAX_TRACE_BYTES:
         return lengths, trace
-    floor = trace.json_size_floor()
+    floor = trace.json_size_floor(MAX_TRACE_BYTES)
     if floor > MAX_TRACE_BYTES:
         raise OutOfRangeError(
             f"--trace would write at least {floor} bytes, which exceeds the limit "

@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -30,7 +31,7 @@ from prefixcode.errors import (
     SizeMismatchError,
     TooFewEntriesError,
 )
-from prefixcode.numutil import weight_strs
+from prefixcode.numutil import shared_divisor, weight_strs
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,24 @@ class MergeState(Weights):
 # record puts the outer quotes around the joined list
 _STATE_SEP = '", "'
 
+# the end of every record, after its last state entry
+RECORD_END = '"]}'
 
-def _record(m: object, k: object, merged: str, state: str) -> str:
-    """One trace line: merge m, its insertion index k, the unquoted merged
-    weight and the unquoted state entries joined by ``_STATE_SEP``."""
-    return f'{{"m": {m}, "k": {k}, "merged": "{merged}", "state": ["{state}"]}}'
+
+def _header(m: object, k: object, merged: str) -> str:
+    """A trace line up to its first state entry: merge m, its insertion
+    index k and the unquoted merged weight."""
+    return f'{{"m": {m}, "k": {k}, "merged": "{merged}", "state": ["'
 
 
 # characters of a written trace line (with its newline) outside its fields
-_RECORD_FIXED = len(_record("", "", "", "") + "\n")
+_RECORD_FIXED = len(_header("", "", "") + RECORD_END + "\n")
+
+
+def _digits_floor(t: int) -> int:
+    """Fewest decimal digits of an integer of at least 2**t."""
+    # 30102999/10**8 < log10(2)
+    return 1 + max(t, 0) * 30102999 // 10**8
 
 
 @dataclass(frozen=True)
@@ -76,12 +86,16 @@ class MergeTrace:
     so the JSON lines and their sizes replay it with no further check.
 
     The JSON lines render each weight once (:meth:`input_strs` hands the
-    input weights' strings to a report) and replay a list of those strings,
-    so a line costs one join.  Three sizes bound the lines before any is
-    written, cheapest first, each one replay of the state's widths
-    (:meth:`_size`): :meth:`json_size_ceiling` with every weight at the
-    widest any can take, :meth:`json_size_floor` at widths from bit
-    lengths, and :meth:`json_size` at the rendered strings'.
+    input weights' strings to a report) and come from one replay,
+    :meth:`line_parts`.  Merged sums never decrease, so every entry before
+    the one merge m inserts at k is a leaf above its sum: the input weights
+    ``nums[:k-1]``.  A line is thus its header, a prefix of one joined
+    rendering of the input weights, and the joined rest of the state.
+    Three sizes bound the lines before any is written, cheapest first, each
+    one replay of the state's widths (:meth:`_size`):
+    :meth:`json_size_ceiling` with every weight at the widest any can take,
+    :meth:`json_size_floor` at widths from bit lengths, and
+    :meth:`json_size` at the rendered strings'.
     """
 
     nums: tuple[int, ...]
@@ -118,23 +132,45 @@ class MergeTrace:
         inputs, merged = self._strs
         return self._size(list(map(len, inputs)), map(len, merged))
 
-    def json_size_floor(self) -> int:
-        """A lower bound on :meth:`json_size` from bit lengths alone, with no
-        weight rendered; below it whenever a state holds a weight under 1.
+    def json_size_floor(self, limit: int | None = None) -> int:
+        """A lower bound on :meth:`json_size` with no weight rendered.
 
-        Each weight counts only the digits of its reduced denominator and one
-        character more.  For v < den that denominator is b = den/gcd(v, den)
-        >= den/v > 2**t, t = den.bit_length() - 1 - v.bit_length(), so it has
-        at least floor(t * log10(2)) + 1 digits; the weight den renders as
-        ``1``.
+        A weight v < den renders as a/b, a = v/g and b = den/g for
+        g = gcd(v, den), and the weight den as ``1``.  With g <= 2**c,
+        a >= 2**(t - c) for t = v.bit_length() - 1, and b >= 2**(s - min(c,
+        t + 1)) for s = den.bit_length() - 1, as g <= v < 2**(t + 1); each
+        has at least the digits of that power of two.  G, the
+        :func:`~prefixcode.numutil.shared_divisor` of the input weights or
+        of the merged ones, gives c (g divides G).  On a truncation's inputs
+        G is 1, so c = 0 and the bound on each weight is the one bit lengths
+        give for a and b in full.
+
+        Computing G costs about a gcd per weight.  So when ``limit`` is given
+        and the bound with G = den, from bit lengths alone, already passes
+        it, that bound is returned instead.
         """
-        bits = self.den.bit_length() - 1
+        den = self.den
+        if limit is not None:
+            floor = self._floor(den, den)
+            if floor > limit:
+                return floor
+        return self._floor(shared_divisor(self.nums, den), shared_divisor(self.sums, den))
 
-        def width(v: int) -> int:
-            # 30102999/10**8 < log10(2)
-            return 1 + max(bits - v.bit_length(), 0) * 30102999 // 10**8
+    def _floor(self, inputs_shared: int, sums_shared: int) -> int:
+        """:meth:`json_size_floor` with the gcd of each input weight and
+        ``den`` dividing ``inputs_shared``, and of each merged weight and
+        ``den`` dividing ``sums_shared``."""
+        den = self.den
+        s = den.bit_length() - 1
 
-        return self._size([width(v) for v in self.nums], map(width, self.sums))
+        def widths(nums: Iterable[int], shared: int) -> list[int]:
+            c = (shared - 1).bit_length()  # shared <= 2**c
+            return [1 if v == den else
+                    _digits_floor(v.bit_length() - 1 - c) + 1
+                    + _digits_floor(s - min(c, v.bit_length()))
+                    for v in nums]
+
+        return self._size(widths(self.nums, inputs_shared), widths(self.sums, sums_shared))
 
     def json_size_ceiling(self) -> int:
         """An upper bound on :meth:`json_size` with no weight rendered: one
@@ -163,19 +199,34 @@ class MergeTrace:
                      + len(_STATE_SEP) * (len(widths) - 1))
         return size
 
-    def iter_json_lines(self) -> Iterator[str]:
-        """One JSON record per merge step, rationals rendered as strings,
-        produced one line at a time (the lines total O(n**2) characters).
+    def line_parts(self) -> tuple[str, Iterator[tuple[str, int, str]]]:
+        """The JSON lines of :meth:`iter_json_lines` in parts, from one
+        replay: the input weights joined as state entries, with a separator
+        after each, and for each line its header, the end in that string of
+        its leading entries ``nums[:k-1]``, and its other entries joined.
+        A line is its header, that prefix, the rest and ``RECORD_END``.
 
         The rendered state is a list of strings replayed as the weights are:
         the last two entries go and the merged one is inserted at k."""
         inputs, merged = self._strs
-        texts = list(inputs)
-        join = _STATE_SEP.join
-        for m, (k, text) in enumerate(zip(self.ks, merged), start=1):
-            del texts[-2:]
-            texts.insert(k - 1, text)
-            yield _record(m, k, text, join(texts))
+        ends = [0, *accumulate(len(text) + len(_STATE_SEP) for text in inputs)]
+
+        def parts() -> Iterator[tuple[str, int, str]]:
+            texts = list(inputs)
+            join = _STATE_SEP.join
+            for m, (k, text) in enumerate(zip(self.ks, merged), start=1):
+                del texts[-2:]
+                texts.insert(k - 1, text)
+                yield _header(m, k, text), ends[k - 1], join(texts[k - 1:])
+
+        return _STATE_SEP.join([*inputs, ""]), parts()
+
+    def iter_json_lines(self) -> Iterator[str]:
+        """One JSON record per merge step, rationals rendered as strings,
+        produced one line at a time (the lines total O(n**2) characters)."""
+        lead, parts = self.line_parts()
+        for header, end, rest in parts:
+            yield f"{header}{lead[:end]}{rest}{RECORD_END}"
 
     def json_lines(self) -> list[str]:
         """All of :meth:`iter_json_lines` as a list."""

@@ -59,10 +59,38 @@ def rat_str(x) -> str:
     return weight_strs((x.numerator,), x.denominator)[0]
 
 
+# Denominator bit lengths at which weight_strs reduces through one shared
+# gcd.  Up to 64 bits a gcd is a short machine-word loop; past about 4096
+# bits the product step, a multiplication and a schoolbook division by the
+# denominator, costs 1.1-1.3 times the gcd it replaces.
+SHARED_GCD_BITS = range(65, 4097)
+
+
+def shared_divisor(nums: Sequence[int], den: int) -> int:
+    """G = gcd(den, P), P the product mod ``den`` of the weights in ``nums``
+    other than ``den`` itself, for ``den > 0``: one product step per weight
+    and one gcd in all.
+
+    Every such weight v has gcd(v, den) = gcd(v, G): gcd(v, den) divides
+    both den and P, so it divides G, and G divides den.  A truncation's
+    weights give G = 1 and its merge sums a small G.
+    """
+    product = 1
+    for v in nums:
+        if v != den:
+            product = product * v % den
+    return gcd(den, product)
+
+
 def weight_strs(nums: Sequence[int], den: int) -> list[str]:
     """Exact rendering of each weight v/den, for ``den > 0``: the string of
     ``Fraction(v, den)``, built from gcd, ``//`` and ``str`` alone, with each
     distinct reduced denominator rendered once.
+
+    A weight v other than ``den`` is reduced by gcd(v, G), with G the
+    :func:`shared_divisor` of the list when ``den`` has a bit length in
+    ``SHARED_GCD_BITS`` and ``den`` itself otherwise: on a truncation's
+    weights G is 1, so no gcd is full size.
 
     ``str`` fails on an integer with more digits than the interpreter's
     int-to-str limit (4300 by default), which valid inputs can reach; only
@@ -75,14 +103,14 @@ def weight_strs(nums: Sequence[int], den: int) -> list[str]:
     if lift:
         sys.set_int_max_str_digits(0)
     try:
-        suffixes = {1: ""}
+        shared = shared_divisor(nums, den) if den.bit_length() in SHARED_GCD_BITS else den
+        suffixes = {den: ""}  # keyed by the gcd: den // g is the reduced denominator
         out = []
         for v in nums:
-            g = gcd(v, den)
-            d = den // g
-            suffix = suffixes.get(d)
+            g = den if v == den else gcd(v, shared)
+            suffix = suffixes.get(g)
             if suffix is None:
-                suffix = suffixes[d] = "/" + str(d)
+                suffix = suffixes[g] = "/" + str(den // g)
             out.append(str(v // g) + suffix)
         return out
     finally:

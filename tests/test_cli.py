@@ -18,11 +18,11 @@ from prefixcode import ExplicitHead, Geometric, cli, classify_l1, counterexample
 from prefixcode.cli import run
 from prefixcode.delta import delta_occasion
 from prefixcode.fileio import parse_source, read_distribution_file
-from prefixcode.huffman import huffman_lengths
+from prefixcode.huffman import huffman, huffman_lengths
 from prefixcode.numutil import weight_strs
 from randgen import near_uniform_distribution, random_distribution, tie_heavy_distribution
 from test_convergence import _reference_csv_text
-from test_huffman import reference_trace_lines
+from test_huffman import reference_trace_lines, trace_instances
 
 
 @pytest.fixture(autouse=True)
@@ -324,6 +324,15 @@ def test_trace_is_written_in_blocks_of_whole_lines(capsys, dist_file, tmp_path, 
         assert len(chunk) >= block or end == len(data)
 
 
+def test_written_trace_is_the_reference(rng, tmp_path):
+    # the same instances as the trace's own lines are checked on
+    path = tmp_path / "trace.jsonl"
+    for d in trace_instances(rng):
+        _, trace = huffman(d)
+        cli._write_trace(trace, str(path))
+        assert path.read_bytes() == ("\n".join(reference_trace_lines(d)) + "\n").encode()
+
+
 def test_trace_reaches_its_file_in_blocks(capsys, tmp_path, monkeypatch):
     # 19.4 MB in 319 lines of up to 119 kB each
     opened = record_opened_files(monkeypatch)
@@ -362,11 +371,14 @@ def test_unwritable_output_path_exits_2(capsys, dist_file, tmp_path, argv, path)
     assert list(tmp_path.iterdir()) == [Path(dist_file)]
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "geom:1/4", "--truncate", "100"],
-    ["counterexample", "2", "--analyze"],
-], ids=lambda argv: argv[0])
-def test_trace_past_its_cap_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("argv, bound", [
+    pytest.param(["analyze", "geom:1/4", "--truncate", "100"], "", id="analyze"),
+    # the floor counts every digit of counterexample 2's ninths, so it
+    # reaches the size and refuses the trace first
+    pytest.param(["counterexample", "2", "--analyze"], "at least ", id="counterexample"),
+])
+def test_trace_past_its_cap_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch, argv,
+                                                       bound):
     trace_path = tmp_path / "trace.jsonl"
     run_json(capsys, argv + ["--trace", str(trace_path)])
     size = trace_path.stat().st_size
@@ -376,7 +388,7 @@ def test_trace_past_its_cap_exits_2_and_writes_nothing(capsys, tmp_path, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: --trace would write {size} bytes, which exceeds the limit {size - 1}\n")
+        f"error: --trace would write {bound}{size} bytes, which exceeds the limit {size - 1}\n")
     assert not trace_path.exists()
     monkeypatch.setattr(cli, "MAX_TRACE_BYTES", size)
     run_json(capsys, argv + ["--trace", str(trace_path)])
@@ -385,12 +397,15 @@ def test_trace_past_its_cap_exits_2_and_writes_nothing(capsys, tmp_path, monkeyp
 
 def test_oversized_trace_is_refused_before_rendering(capsys, tmp_path, monkeypatch):
     # the bit-length floor (3.0e9 bytes; 8.6e10 exactly) passes the cap, so
-    # no weight is rendered and the exact size is never computed
+    # no weight is rendered, neither the shared gcd of the weights nor the
+    # exact size is computed
     def unrendered(*args):
         raise AssertionError("weights rendered")
 
     monkeypatch.setattr(cli.MergeTrace, "json_size", unrendered)
-    monkeypatch.setattr(importlib.import_module("prefixcode.huffman"), "weight_strs", unrendered)
+    huffman_module = importlib.import_module("prefixcode.huffman")
+    monkeypatch.setattr(huffman_module, "weight_strs", unrendered)
+    monkeypatch.setattr(huffman_module, "shared_divisor", unrendered)
     trace_path = tmp_path / "trace.jsonl"
     argv = ["analyze", "alpha:[3/7,2/5,9/20]", "--truncate", "4096", "--trace", str(trace_path)]
     assert run(argv) == 2
@@ -398,6 +413,29 @@ def test_oversized_trace_is_refused_before_rendering(capsys, tmp_path, monkeypat
     assert captured.out == ""
     assert re.fullmatch(r"error: --trace would write at least \d+ bytes, which exceeds the "
                         rf"limit {cli.MAX_TRACE_BYTES}\n", captured.err)
+    assert not trace_path.exists()
+
+
+@pytest.mark.parametrize("source, n", [("geom:1/4", 2400), ("alpha:[3/7,2/5,9/20]", 1500)])
+def test_trace_past_its_cap_is_refused_by_its_reduced_floor(capsys, tmp_path, monkeypatch,
+                                                            source, n):
+    # above the cap both by the floor of the reduced weights (8.05e9 and
+    # 4.25e9 bytes) and not by the bound from bit lengths alone, so the
+    # shared gcd decides, and no weight is rendered
+    def unrendered(*args):
+        raise AssertionError("weights rendered")
+
+    monkeypatch.setattr(cli.MergeTrace, "json_size", unrendered)
+    for module in (cli, importlib.import_module("prefixcode.huffman")):
+        monkeypatch.setattr(module, "weight_strs", unrendered)
+    trace_path = tmp_path / "trace.jsonl"
+    assert run(["analyze", source, "--truncate", str(n), "--trace", str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    floor = int(re.fullmatch(r"error: --trace would write at least (\d+) bytes, which exceeds "
+                             rf"the limit {cli.MAX_TRACE_BYTES}\n", captured.err)[1])
+    _, trace = huffman(truncate(parse_source(source), n))
+    assert trace.json_size_floor(limit=0) <= cli.MAX_TRACE_BYTES < floor
     assert not trace_path.exists()
 
 

@@ -251,15 +251,50 @@ def trace_instances(rng):
             yield counterexample(family, F(eps))
     for n in (2, 3, 17, 64, 100):
         yield truncate(Geometric(F(1, 4)), n)
+    for n in (2, 3, 17, 64):
+        yield truncate(AlphaSequence((F(3, 7), F(2, 5), F(9, 20))), n)
+
+
+def line_kinds(trace):
+    """For each line, whether its merged weight went in first (k = 1) with
+    other entries after it, and whether every other entry of its state is a
+    leaf with some after the merged one."""
+    leaves = [True] * len(trace.nums)
+    kinds = []
+    for k in trace.ks:
+        del leaves[-2:]
+        leaves.insert(k - 1, False)
+        kinds.append((k == 1 < len(leaves), leaves.count(False) == 1 and k < len(leaves)))
+    return kinds
 
 
 class TestTraceRecord:
     def test_json_lines_match_the_reference(self, rng):
+        # tie-heavy small weights, truncations and the counterexample
+        # families, with lines whose merged weight goes in first and lines
+        # whose leading and trailing entries are all leaves
+        first = leaves = 0
         for d in trace_instances(rng):
             _, trace = huffman(d)
             expected = reference_trace_lines(d)
             assert trace.json_lines() == expected
             assert list(trace.iter_json_lines()) == expected
+            for k_first, only_leaves in line_kinds(trace):
+                first += k_first
+                leaves += only_leaves
+        assert first and leaves
+
+    def test_line_parts_replay_the_lines(self, rng):
+        # each line's leading entries are the first k - 1 input weights, a
+        # prefix of their one joined rendering
+        for d in trace_instances(rng):
+            _, trace = huffman(d)
+            lead, parts = trace.line_parts()
+            inputs = trace.input_strs()
+            assert lead == "".join(text + '", "' for text in inputs)
+            for k, (header, end, rest), line in zip(trace.ks, parts, trace.iter_json_lines()):
+                assert lead[:end] == "".join(text + '", "' for text in inputs[:k - 1])
+                assert line == header + lead[:end] + rest + '"]}'
 
     def test_json_size_is_the_length_written(self, rng):
         for d in trace_instances(rng):
@@ -267,11 +302,32 @@ class TestTraceRecord:
             assert trace.json_size() == sum(len(line) + 1 for line in trace.iter_json_lines())
 
     def test_json_size_floor_is_below_the_size(self, rng):
-        # equal only for n = 2, whose one line holds nothing but the weight 1
+        # equal for n = 2, whose one line holds nothing but the weight 1, and
+        # on small weights such as counterexample 2's ninths, whose digits
+        # the bit lengths give exactly
+        equal = 0
         for d in trace_instances(rng):
             _, trace = huffman(d)
             floor, size = trace.json_size_floor(), trace.json_size()
-            assert floor < size if d.n > 2 else floor == size
+            assert floor <= size
+            assert floor == size or d.n > 2
+            equal += floor == size and d.n > 2
+            # a limit below the bound from bit lengths alone returns that
+            # bound, which is below the floor
+            assert trace.json_size_floor(limit=0) <= floor
+        assert equal
+
+    def test_json_size_floor_counts_the_reduced_numerators(self):
+        # within 4% of the size on truncations, whose input weights are in
+        # lowest terms over the shared denominator; a bound from the
+        # denominators alone is under half of it
+        for spec in (Geometric(F(1, 4)), Geometric(F(3, 100)), AlphaSequence((F(2, 5),)),
+                     AlphaSequence((F(3, 7), F(2, 5), F(9, 20)))):
+            for n in (17, 64, 200):
+                _, trace = huffman(truncate(spec, n))
+                size = trace.json_size()
+                assert 0.96 * size < trace.json_size_floor() <= size
+                assert trace.json_size_floor(limit=0) < size / 2
 
     def test_json_size_ceiling_is_above_the_size(self, rng):
         instances = [*trace_instances(rng),

@@ -5,6 +5,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -19,9 +20,11 @@ from prefixcode import (
     l1_lower_bound,
     truncate,
 )
+from prefixcode import numutil
 from prefixcode.cli import run
 from prefixcode.errors import OutOfRangeError, ParseError
 from prefixcode.numutil import (
+    SHARED_GCD_BITS,
     decimal_ceil,
     decimal_floor,
     decimal_str,
@@ -29,6 +32,7 @@ from prefixcode.numutil import (
     floor_log2,
     floor_neg_log2,
     rat_str,
+    shared_divisor,
     weight_strs,
 )
 from test_huffman import reference_trace_lines
@@ -59,6 +63,76 @@ def test_random_weights(rng):
         rng.shuffle(nums)
         assert weight_strs(nums, den) == reference(nums, den)
     assert weight_strs([], 7) == []
+
+
+def coprime(v, den):
+    """v with every factor it shares with den divided out."""
+    while (g := gcd(v, den)) > 1:
+        v //= g
+    return v
+
+
+def shared_gcd_lists(rng, bits):
+    """(weights, denominator) pairs, the denominator of about ``bits`` bits,
+    with shared divisors of 1, small ones, large factors of the denominator
+    and the denominator itself, and with negative, zero and single values."""
+    small = rng.choice((6, 720, 2**10 * 3**4))
+    large = rng.getrandbits(max(bits // 3, 2)) | 1
+    for factor in (1, small, large):
+        rest = rng.getrandbits(bits) | 1 << (bits - 1)
+        den = factor * coprime(rest, factor)
+        nums = [coprime(rng.randint(1, den), den) for _ in range(rng.randint(1, 12))]
+        # multiples of the factor or of a divisor of it: a shared divisor over 1
+        nums += [coprime(rng.randint(1, den // factor), den) * rng.choice((factor, 2, 3))
+                 for _ in range(rng.randint(0, 6) if factor > 1 else 0)]
+        rng.shuffle(nums)
+        yield nums + [den], den  # den itself renders as 1
+        yield [-v for v in nums[:3]] + nums[3:], den
+        yield nums[:1], den
+        yield nums + [0], den
+        yield nums + [-den, 3 * den], den
+
+
+def test_weight_strs_is_fractions_str_over_a_shared_gcd(rng):
+    kinds = set()
+    for bits in (8, 40, 64, 65, 66, 200, 700, 2000, 4096, 4097, 5000):
+        for _ in range(4):
+            for nums, den in shared_gcd_lists(rng, bits):
+                assert weight_strs(nums, den) == reference(nums, den)
+                shared = shared_divisor(nums, den)
+                assert den % shared == 0
+                assert all(gcd(v, den) == gcd(v, shared) for v in nums if v != den)
+                if den.bit_length() in SHARED_GCD_BITS:
+                    kinds.add(1 if shared == 1 else "den" if shared == den else "between")
+    assert kinds == {1, "between", "den"}
+    assert weight_strs([5, -2, 0], 1) == ["5", "-2", "0"]
+    assert weight_strs([2**70, 2**69], 2**70) == ["1", "1/2"]
+
+
+def test_a_truncation_renders_with_one_gcd_of_its_denominator(monkeypatch):
+    # its input weights are in lowest terms over the shared denominator, so
+    # the shared gcd is 1 and is the one gcd taken with the denominator;
+    # outside SHARED_GCD_BITS every weight takes one
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(numutil, "gcd", counting)
+    for n, gcds in ((300, 1), (20, 20), (2100, 2100)):
+        dist = truncate(Geometric(F(1, 4)), n)
+        calls.clear()
+        assert weight_strs(dist.nums, dist.den) == reference(dist.nums, dist.den)
+        assert sum(dist.den in args for args in calls) == gcds
+
+
+def test_a_lifted_limit_covers_the_shared_gcd():
+    with digit_limit(640):
+        for den in (10**700 + 3 * 7, 7**2000):  # 2326 and 5615 bits
+            nums = [den - 1, 3 * 7 * 5, 7 * 10**699, den, -1]
+            assert weight_strs(nums, den) == reference(nums, den)
+            assert sys.get_int_max_str_digits() == 640
 
 
 def test_values_past_the_digit_limit():
